@@ -291,12 +291,15 @@ def _run_stages(
     if cfg.synthesize_hardware and reverse_order.kept:
         t0 = time.perf_counter()
         with traced(runtime, "hardware"):
-            tpg = synthesize_tpg(
-                list(reverse_order.kept), procedure.l_g, circuit.inputs
-            )
-            if runtime is not None:
-                runtime.lint_design(tpg)
-            verified = verify_tpg(tpg).ok
+            with traced(runtime, "tpg_synthesize"):
+                tpg = synthesize_tpg(
+                    list(reverse_order.kept), procedure.l_g, circuit.inputs
+                )
+            with traced(runtime, "tpg_lint"):
+                if runtime is not None:
+                    runtime.lint_design(tpg)
+            with traced(runtime, "tpg_verify"):
+                verified = verify_tpg(tpg).ok
         timings["hardware"] = time.perf_counter() - t0
         trace_event(
             runtime, "stage", name="hardware", verified=bool(verified)

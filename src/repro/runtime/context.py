@@ -49,11 +49,14 @@ class RuntimeContext:
         Worker processes; 1 (default) runs everything in-process.
         Results are independent of this value by construction.
     cache_dir:
-        Cache root.  Implies ``enable_cache=True`` when given.
+        Cache root.  Turns the cache on when given, unless
+        ``enable_cache=False``.
     enable_cache:
-        Turn the artifact cache on (at ``cache_dir`` or the default
-        root).  Off by default so library callers opt in explicitly;
-        the CLI enables it unless ``--no-cache`` is passed.
+        ``True`` turns the artifact cache on (at ``cache_dir`` or the
+        default root); ``False`` keeps it off even when ``cache_dir``
+        is given.  The default, ``None``, means "on iff ``cache_dir``
+        is given", so library callers opt in explicitly; the CLI
+        enables it unless ``--no-cache`` is passed.
     max_cache_bytes:
         LRU size cap for the cache.
     stats:
@@ -88,10 +91,11 @@ class RuntimeContext:
     resume:
         Consult the checkpoint journal and let multi-circuit sweeps
         skip circuits whose results are already journaled.  The
-        journal is *written* whenever a cache directory is in play
-        (every completed flow checkpoints its Table-6 row atomically),
-        so an interrupted sweep is resumable even if it was not
-        started with ``resume=True``.
+        journal is *written* whenever the cache is on or ``resume``
+        is set (every completed flow checkpoints its Table-6 row
+        atomically), under the cache root or else ``cache_dir``, so an
+        interrupted sweep is resumable even if it was not started
+        with ``resume=True``.
     trace:
         Attach a fresh :class:`~repro.trace.span.Tracer` to this
         context.  Everything runtime-aware then attributes its work to
@@ -115,7 +119,7 @@ class RuntimeContext:
         self,
         jobs: int = 1,
         cache_dir: str | Path | None = None,
-        enable_cache: bool = False,
+        enable_cache: Optional[bool] = None,
         max_cache_bytes: int = DEFAULT_MAX_BYTES,
         stats: RuntimeStats | None = None,
         lint: str = "off",
@@ -161,7 +165,7 @@ class RuntimeContext:
         self.stats.jobs = self.executor.jobs
         try:
             self.cache: Optional[ArtifactCache] = None
-            if enable_cache or cache_dir is not None:
+            if enable_cache or (enable_cache is None and cache_dir is not None):
                 self.cache = ArtifactCache(
                     cache_dir,
                     max_bytes=max_cache_bytes,

@@ -69,7 +69,8 @@ class ServerConfig:
 
     ``port=0`` binds an ephemeral port (tests and parallel CI);
     ``cache_dir=None`` keeps the artifact cache inside ``state_dir`` so
-    one directory carries the server's whole resumable state.
+    one directory carries the server's whole resumable state;
+    ``enable_cache=False`` (``--no-cache``) runs every job uncached.
 
     ``workers=1`` (the default) executes jobs on the in-process
     scheduler; ``workers>=2`` forks that many supervised worker

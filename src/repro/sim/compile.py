@@ -1,19 +1,24 @@
 """Compilation of a :class:`~repro.circuit.netlist.Circuit` into the
-integer-indexed form both simulators execute.
+integer-indexed form every simulator executes.
 
 Net names are mapped to dense indices once; gates become ``(opcode,
-out_index, fanin_indices)`` triples in topological order.  Both the
-scalar reference simulator and the bit-parallel fault simulator execute
-this compiled form, so they agree on evaluation order by construction.
+out_index, fanin_indices)`` triples in topological order.  The logic
+simulator and both fault simulators execute this compiled form, so
+they agree on evaluation order by construction.
+
+:func:`gate_source` is the one place ternary gate semantics are written
+as generated Python source; the compiled logic simulator and the vector
+fault kernel both emit their gates through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.circuit.gates import GateType
 from repro.circuit.netlist import Circuit
+from repro.errors import SimulationError
 
 # Opcodes, kept as plain ints for speed in the inner loops.
 OP_AND = 0
@@ -116,3 +121,45 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
         const0_indices=tuple(const0),
         const1_indices=tuple(const1),
     )
+
+
+def gate_source(
+    opcode: int, ones: Sequence[str], zeros: Sequence[str]
+) -> Tuple[List[str], str, str]:
+    """Python source evaluating one ternary gate on two-rail operands.
+
+    A ternary value travels as two rails: ``ones`` is set where it is 1,
+    ``zeros`` where it is 0, and neither where it is X.  ``ones[k]`` and
+    ``zeros[k]`` are source expressions for fanin ``k``'s rails; the
+    formulas are bitwise, so a rail may be one bit (the logic simulator)
+    or a word of fault lanes (the vector kernel).
+
+    Returns ``(statements, ones_expr, zeros_expr)``.  The statements
+    (XOR/XNOR temporaries ``xo``, ``xz``, ``eo``, ``ez``) must run, in
+    order, before the two expressions are evaluated.
+    """
+    if opcode == OP_AND or opcode == OP_NAND:
+        oexpr = "&".join(ones)
+        zexpr = "|".join(zeros)
+        if opcode == OP_NAND:
+            oexpr, zexpr = zexpr, oexpr
+        return [], oexpr, zexpr
+    if opcode == OP_OR or opcode == OP_NOR:
+        oexpr = "|".join(ones)
+        zexpr = "&".join(zeros)
+        if opcode == OP_NOR:
+            oexpr, zexpr = zexpr, oexpr
+        return [], oexpr, zexpr
+    if opcode == OP_NOT:
+        return [], zeros[0], ones[0]
+    if opcode == OP_BUF:
+        return [], ones[0], zeros[0]
+    if opcode == OP_XOR or opcode == OP_XNOR:
+        statements = [f"xo = {ones[0]}; xz = {zeros[0]}"]
+        for oe, ze in zip(ones[1:], zeros[1:]):
+            statements.append(f"eo = {oe}; ez = {ze}")
+            statements.append("xo, xz = (xo&ez)|(xz&eo), (xo&eo)|(xz&ez)")
+        if opcode == OP_XNOR:
+            return statements, "xz", "xo"
+        return statements, "xo", "xz"
+    raise SimulationError(f"unknown opcode {opcode}")

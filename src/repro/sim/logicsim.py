@@ -1,16 +1,25 @@
-"""Reference 3-valued sequential logic simulator (fault-free machine).
+"""3-valued sequential logic simulator (fault-free machine).
 
-This scalar simulator defines the golden semantics: the bit-parallel
-fault simulator is cross-checked against it in the test suite.  It is
-also used wherever only fault-free behaviour is needed (e.g. verifying
-that a synthesized test pattern generator replays the intended weighted
-sequences).
+:class:`LogicSimulator` is the one good-machine engine: every consumer
+that needs fault-free behaviour (TPG replay verification, MISR grading,
+BIST closure, diagnosis dictionaries) runs through it.  On first use it
+generates a Python function from the circuit's
+:class:`~repro.sim.compile.CompiledCircuit` that holds the whole cycle
+loop as straight-line code: every net's value lives in two local rails
+(see :func:`~repro.sim.compile.gate_source`, which the vector fault
+kernel shares), so a cycle costs a few bitwise operations per gate with
+no per-gate dispatch.
+
+:func:`_reference_run` keeps the interpreted per-gate loop over
+:func:`~repro.sim.values.and_reduce` and friends.  It is private and
+exists only as the scalar oracle the compiled engine is tested against
+(``tests/test_sim_logic_differential.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.circuit.netlist import Circuit
 from repro.errors import SimulationError
@@ -25,6 +34,7 @@ from repro.sim.compile import (
     OP_XNOR,
     OP_XOR,
     compile_circuit,
+    gate_source,
 )
 from repro.sim.values import (
     V0,
@@ -63,17 +73,26 @@ class SimTrace:
         return len(self.outputs)
 
 
+_Engine = Callable[
+    [Sequence[Sequence[Value]], Sequence[Value]],
+    Tuple[List[Tuple[Value, ...]], List[Tuple[Value, ...]], List[Tuple[Value, ...]]],
+]
+
+
 class LogicSimulator:
     """Levelized 3-valued sequential simulator for one circuit.
 
     The simulator is stateless between :meth:`run` calls; each run
     starts from the given initial state (all-X by default, matching the
-    no-reset assumption of the reproduced paper).
+    no-reset assumption of the reproduced paper).  The generated cycle
+    loop is built on the first run and reused by every later run with
+    the same ``record_nets`` setting.
     """
 
     def __init__(self, circuit: Circuit, compiled: CompiledCircuit | None = None) -> None:
         self.circuit = circuit
         self.compiled = compiled or compile_circuit(circuit)
+        self._engines: Dict[bool, _Engine] = {}
 
     def run(
         self,
@@ -95,55 +114,164 @@ class LogicSimulator:
             When true, the trace includes every net's value at every
             time unit (used by observability analysis and debugging).
         """
-        comp = self.compiled
-        n_pi = len(comp.pi_indices)
-        n_ff = len(comp.ff_indices)
-        if initial_state is None:
-            state: List[Value] = [VX] * n_ff
-        else:
-            if len(initial_state) != n_ff:
-                raise SimulationError(
-                    f"initial state has {len(initial_state)} values, "
-                    f"circuit has {n_ff} flip-flops"
-                )
-            state = list(initial_state)
-
-        values: List[Value] = [VX] * comp.n_nets
-        outputs: List[Tuple[Value, ...]] = []
-        states: List[Tuple[Value, ...]] = []
-        net_trace: List[Tuple[Value, ...]] = []
-
-        for u, pattern in enumerate(stimulus):
-            if len(pattern) != n_pi:
-                raise SimulationError(
-                    f"time {u}: pattern has {len(pattern)} values, "
-                    f"circuit has {n_pi} primary inputs"
-                )
-            for idx, value in zip(comp.pi_indices, pattern):
-                if value not in (V0, V1, VX):
-                    raise SimulationError(f"time {u}: bad ternary value {value!r}")
-                values[idx] = value
-            for idx, value in zip(comp.ff_indices, state):
-                values[idx] = value
-            for idx in comp.const0_indices:
-                values[idx] = V0
-            for idx in comp.const1_indices:
-                values[idx] = V1
-
-            for opcode, out, fanins in comp.ops:
-                values[out] = _eval_op(opcode, fanins, values)
-
-            outputs.append(tuple(values[idx] for idx in comp.po_indices))
-            states.append(tuple(state))
-            if record_nets:
-                net_trace.append(tuple(values))
-            state = [values[idx] for idx in comp.ff_next_indices]
-
+        state = _initial_state(self.compiled, initial_state)
+        record_nets = bool(record_nets)
+        engine = self._engines.get(record_nets)
+        if engine is None:
+            engine = _generate_engine(self.compiled, record_nets)
+            self._engines[record_nets] = engine
+        outputs, states, nets = engine(stimulus, state)
         return SimTrace(
-            outputs=tuple(outputs),
-            states=tuple(states),
-            nets=tuple(net_trace),
+            outputs=tuple(outputs), states=tuple(states), nets=tuple(nets)
         )
+
+
+def _initial_state(
+    comp: CompiledCircuit, initial_state: Sequence[Value] | None
+) -> List[Value]:
+    """The validated time-0 flip-flop values (all X when not given)."""
+    n_ff = len(comp.ff_indices)
+    if initial_state is None:
+        return [VX] * n_ff
+    if len(initial_state) != n_ff:
+        raise SimulationError(
+            f"initial state has {len(initial_state)} values, "
+            f"circuit has {n_ff} flip-flops"
+        )
+    for value in initial_state:
+        if value not in (V0, V1, VX):
+            raise SimulationError(f"initial state: bad ternary value {value!r}")
+    return list(initial_state)
+
+
+def _width_error(u: int, pattern: Sequence[Value], n_pi: int) -> SimulationError:
+    return SimulationError(
+        f"time {u}: pattern has {len(pattern)} values, "
+        f"circuit has {n_pi} primary inputs"
+    )
+
+
+def _value_error(u: int, pattern: Sequence[Value]) -> SimulationError:
+    """The error for the first value of ``pattern`` that is not ternary."""
+    bad = next(v for v in pattern if v not in (V0, V1, VX))
+    return SimulationError(f"time {u}: bad ternary value {bad!r}")
+
+
+#: Ternary value -> ``(ones, zeros)`` rail pair.  Exactly the accepted
+#: values are keys, so a failed lookup is a bad value.
+_RAILS = {V0: (0, 1), V1: (1, 0), VX: (0, 0)}
+
+
+def _generate_engine(comp: CompiledCircuit, record_nets: bool) -> _Engine:
+    """Generate the straight-line cycle loop for ``comp``.
+
+    Net ``i`` lives in the locals ``o{i}`` / ``z{i}``; a rail pair reads
+    back as the ternary value ``2 - o - 2z`` (1, 0 or X).  Constants are
+    set once, the flip-flops' present-state rails carry over between
+    iterations, and each iteration validates and loads one pattern,
+    evaluates every gate in topological order, records the trace rows
+    and latches the next state.
+    """
+
+    def value(i: int) -> str:
+        return f"2-o{i}-z{i}-z{i}"
+
+    def row(indices: Sequence[int]) -> str:
+        return "(" + "".join(f"{value(i)}," for i in indices) + ")"
+
+    n_pi = len(comp.pi_indices)
+    pattern_values = "".join(f"p{slot}," for slot in range(n_pi))
+    lines = [
+        "def _engine(stimulus, state):",
+        " rails = RAILS",
+        " outputs = []; states = []; nets = []",
+    ]
+    for slot, i in enumerate(comp.ff_indices):
+        lines.append(f" o{i}, z{i} = rails[state[{slot}]]")
+    for i in comp.const0_indices:
+        lines.append(f" o{i} = 0; z{i} = 1")
+    for i in comp.const1_indices:
+        lines.append(f" o{i} = 1; z{i} = 0")
+    lines.append(" for u, pattern in enumerate(stimulus):")
+    lines.append(f"  if len(pattern) != {n_pi}:")
+    lines.append(f"   raise width_error(u, pattern, {n_pi})")
+    if n_pi:
+        lines.append(f"  {pattern_values} = pattern")
+        lines.append("  try:")
+        for slot, i in enumerate(comp.pi_indices):
+            lines.append(f"   o{i}, z{i} = rails[p{slot}]")
+        lines.append("  except (KeyError, TypeError):")
+        lines.append(f"   raise value_error(u, ({pattern_values})) from None")
+    for opcode, out, fanins in comp.ops:
+        statements, oexpr, zexpr = gate_source(
+            opcode, [f"o{f}" for f in fanins], [f"z{f}" for f in fanins]
+        )
+        lines.extend("  " + statement for statement in statements)
+        lines.append(f"  o{out} = {oexpr}; z{out} = {zexpr}")
+    lines.append(f"  outputs.append({row(comp.po_indices)})")
+    lines.append(f"  states.append({row(comp.ff_indices)})")
+    if record_nets:
+        lines.append(f"  nets.append({row(range(comp.n_nets))})")
+    if comp.ff_indices:
+        present = [f"o{i}, z{i}" for i in comp.ff_indices]
+        nxt = [f"o{i}, z{i}" for i in comp.ff_next_indices]
+        lines.append(f"  {', '.join(present)} = {', '.join(nxt)}")
+    lines.append(" return outputs, states, nets")
+    namespace: dict = {
+        "RAILS": _RAILS,
+        "width_error": _width_error,
+        "value_error": _value_error,
+    }
+    exec(compile("\n".join(lines), "<logic-sim>", "exec"), namespace)
+    return namespace["_engine"]
+
+
+def _reference_run(
+    comp: CompiledCircuit,
+    stimulus: Sequence[Sequence[Value]],
+    initial_state: Sequence[Value] | None = None,
+    record_nets: bool = False,
+) -> SimTrace:
+    """Interpreted scalar simulation: the oracle for the compiled engine.
+
+    Same contract as :meth:`LogicSimulator.run`, evaluated one gate at
+    a time through :func:`_eval_op`.  Tests only.
+    """
+    state = _initial_state(comp, initial_state)
+    n_pi = len(comp.pi_indices)
+    values: List[Value] = [VX] * comp.n_nets
+    outputs: List[Tuple[Value, ...]] = []
+    states: List[Tuple[Value, ...]] = []
+    net_trace: List[Tuple[Value, ...]] = []
+
+    for u, pattern in enumerate(stimulus):
+        if len(pattern) != n_pi:
+            raise _width_error(u, pattern, n_pi)
+        for idx, value in zip(comp.pi_indices, pattern):
+            if value not in (V0, V1, VX):
+                raise SimulationError(f"time {u}: bad ternary value {value!r}")
+            values[idx] = value
+        for idx, value in zip(comp.ff_indices, state):
+            values[idx] = value
+        for idx in comp.const0_indices:
+            values[idx] = V0
+        for idx in comp.const1_indices:
+            values[idx] = V1
+
+        for opcode, out, fanins in comp.ops:
+            values[out] = _eval_op(opcode, fanins, values)
+
+        outputs.append(tuple(values[idx] for idx in comp.po_indices))
+        states.append(tuple(state))
+        if record_nets:
+            net_trace.append(tuple(values))
+        state = [values[idx] for idx in comp.ff_next_indices]
+
+    return SimTrace(
+        outputs=tuple(outputs),
+        states=tuple(states),
+        nets=tuple(net_trace),
+    )
 
 
 def _eval_op(opcode: int, fanins: Tuple[int, ...], values: List[Value]) -> Value:

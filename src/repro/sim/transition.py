@@ -39,7 +39,6 @@ from repro.circuit.netlist import Circuit
 from repro.errors import FaultModelError
 from repro.sim.compile import CompiledCircuit, compile_circuit
 from repro.sim.faultsim import GROUP_FAULTS, FaultSimResult, _GroupSim
-from repro.sim.logicsim import LogicSimulator
 from repro.sim.values import V0, V1, VX, Value
 
 
@@ -111,7 +110,6 @@ class TransitionFaultSimulator:
     def __init__(self, circuit: Circuit, compiled: CompiledCircuit | None = None) -> None:
         self.circuit = circuit
         self.comp = compiled or compile_circuit(circuit)
-        self._logic = LogicSimulator(circuit, self.comp)
 
     def run(
         self,

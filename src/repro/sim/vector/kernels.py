@@ -40,7 +40,7 @@ from repro.sim.compile import (
     OP_NOT,
     OP_OR,
     OP_XNOR,
-    OP_XOR,
+    gate_source,
 )
 from repro.sim.values import V0, V1
 from repro.sim.vector import packing as _packing
@@ -78,26 +78,8 @@ def _compile_int_step(program: VectorProgram):
                 ze = f"(({ze}|{m('f0', f0)})&{m('nf1', f1)})"
             fo.append(oe)
             fz.append(ze)
-        if opcode == OP_AND or opcode == OP_NAND:
-            oexpr = "&".join(fo)
-            zexpr = "|".join(fz)
-            if opcode == OP_NAND:
-                oexpr, zexpr = zexpr, oexpr
-        elif opcode == OP_OR or opcode == OP_NOR:
-            oexpr = "|".join(fo)
-            zexpr = "&".join(fz)
-            if opcode == OP_NOR:
-                oexpr, zexpr = zexpr, oexpr
-        elif opcode == OP_NOT:
-            oexpr, zexpr = fz[0], fo[0]
-        elif opcode == OP_BUF:
-            oexpr, zexpr = fo[0], fz[0]
-        else:  # XOR / XNOR
-            lines.append(f" xo = {fo[0]}; xz = {fz[0]}")
-            for oe, ze in zip(fo[1:], fz[1:]):
-                lines.append(f" eo = {oe}; ez = {ze}")
-                lines.append(" xo, xz = (xo&ez)|(xz&eo), (xo&eo)|(xz&ez)")
-            oexpr, zexpr = ("xz", "xo") if opcode == OP_XNOR else ("xo", "xz")
+        statements, oexpr, zexpr = gate_source(opcode, fo, fz)
+        lines.extend(" " + statement for statement in statements)
         if stem is not None:
             f0, f1 = stem
             oexpr = f"(({oexpr})|{m('f1', f1)})&{m('nf0', f0)}"

@@ -204,3 +204,18 @@ def test_cold_vs_no_cache_identical(tmp_path):
         cached = run_full_flow("s27", cfg, runtime=rt)
     assert cached.table6 == plain.table6
     assert cached.procedure.detection_time == plain.procedure.detection_time
+
+
+def test_explicit_enable_cache_false_beats_cache_dir(tmp_path):
+    with RuntimeContext(cache_dir=tmp_path) as rt:
+        assert rt.cache is not None and rt.cache.root == tmp_path
+    with RuntimeContext(cache_dir=tmp_path, enable_cache=False) as rt:
+        assert rt.cache is None and rt.journal is None
+        run_full_flow("s27", flow_config_for("s27", l_g=32), runtime=rt)
+    assert list(tmp_path.rglob("*")) == []
+    with RuntimeContext(
+        cache_dir=tmp_path, enable_cache=False, resume=True
+    ) as rt:
+        assert rt.cache is None
+        assert rt.journal is not None
+        assert rt.journal.path == tmp_path / "checkpoints" / "journal.json"

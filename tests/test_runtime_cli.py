@@ -83,3 +83,23 @@ def test_table6_with_stats(tmp_path, capsys):
     assert rc == 0
     assert "Table 6" in out
     assert "runtime stats" in out
+
+
+def test_flow_no_cache_beats_cache_dir(tmp_path, capsys):
+    cache = tmp_path / "D"
+    cache.mkdir()
+    rc = main(["flow", "s27", "--cache-dir", str(cache), "--no-cache"])
+    assert rc == 0
+    assert list(cache.rglob("*")) == []
+
+
+def test_flow_no_cache_resume_journals_under_cache_dir(tmp_path, capsys):
+    cache = tmp_path / "D"
+    rc = main(
+        ["flow", "s27", "--cache-dir", str(cache), "--no-cache", "--resume"]
+    )
+    assert rc == 0
+    assert sorted(p.relative_to(cache).as_posix() for p in cache.rglob("*")) == [
+        "checkpoints",
+        "checkpoints/journal.json",
+    ]

@@ -212,6 +212,25 @@ def test_server_round_trip_result_bytes_identical(tmp_path):
         assert metrics["queue"]["jobs"] == {"done": 1}
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cache_off_server_writes_no_cache_entry(tmp_path, workers):
+    state = tmp_path / "state"
+    config = ServerConfig(
+        state_dir=state, port=0, workers=workers, enable_cache=False
+    )
+    with ServerThread(config) as url:
+        client = ServeClient(url)
+        spec = fast_spec(seed=12)
+        key = client.submit(spec)["key"]
+        assert client.wait(key, timeout_s=120.0)["state"] == "done"
+        flow = run_full_flow(spec.circuit, spec.flow_config())
+        assert client.result_bytes(key) == render_result(
+            flow_result_payload(flow)
+        )
+    cache = state / "cache"
+    assert not cache.exists() or list(cache.rglob("*")) == []
+
+
 def test_rate_limited_client_sees_429_with_retry_after(tmp_path):
     config = ServerConfig(
         state_dir=tmp_path / "state", port=0, rate_per_s=0.5, burst=1

@@ -15,14 +15,15 @@ from repro.errors import SimulationError
 from repro.sim import (
     Fault,
     FaultSimulator,
-    LogicSimulator,
     V0,
     V1,
     VX,
     all_faults,
     collapse_faults,
+    compile_circuit,
     detection_times,
 )
+from repro.sim.logicsim import _reference_run
 from repro.util.rng import DeterministicRng
 
 
@@ -53,9 +54,14 @@ def _mutate(circuit: Circuit, fault: Fault) -> Circuit:
 
 
 def _detects_brute_force(circuit, fault, stimulus):
-    """First detection time via explicit faulty-circuit simulation."""
-    good = LogicSimulator(circuit).run(stimulus)
-    bad = LogicSimulator(_mutate(circuit, fault)).run(stimulus)
+    """First detection time via explicit faulty-circuit simulation.
+
+    Runs on the interpreted scalar reference, not the compiled logic
+    simulator, so the oracle shares no generated gate code with the
+    vector fault kernel it checks.
+    """
+    good = _reference_run(compile_circuit(circuit), stimulus)
+    bad = _reference_run(compile_circuit(_mutate(circuit, fault)), stimulus)
     for u, (g_out, b_out) in enumerate(zip(good.outputs, bad.outputs)):
         for g, b in zip(g_out, b_out):
             if g in (V0, V1) and b in (V0, V1) and g != b:

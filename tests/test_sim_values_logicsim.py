@@ -111,6 +111,15 @@ class TestLogicSimulator:
         with pytest.raises(SimulationError, match="initial state"):
             LogicSimulator(toggle_circuit).run([(V1,)], initial_state=[V0, V0])
 
+    @pytest.mark.parametrize(
+        "state, bad", [([5, 0, 7], 5), (["1", 0, 1], "1"), ([0, 1, None], None)]
+    )
+    def test_bad_state_value_raises(self, s27, state, bad):
+        with pytest.raises(SimulationError) as err:
+            LogicSimulator(s27).run([(V0, V0, V0, V0)], initial_state=state)
+        assert str(err.value) == f"initial state: bad ternary value {bad!r}"
+        assert "\n" not in str(err.value)
+
     def test_constants(self):
         b = CircuitBuilder("c")
         b.input("a")

@@ -116,6 +116,9 @@ def test_span_tree_attributes_every_flow_phase(s27, serial_golden):
         "reverse_order",
         "reverse_order_sim",
         "hardware",
+        "tpg_synthesize",
+        "tpg_lint",
+        "tpg_verify",
     ):
         assert counts.get(phase) == 1, phase
     # the selection loop traces each target time u

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from repro.circuit.netlist import Circuit
-from repro.sim.compile import CompiledCircuit, compile_circuit
+from repro.sim.compile import CompiledCircuit
 from repro.sim.faults import Fault
-from repro.sim.faultsim import GROUP_FAULTS, _GroupSim
+from repro.sim.faultsim import FaultSimulator
 from repro.sim.logicsim import LogicSimulator
-from repro.sim.values import V0, V1, Value
+from repro.sim.values import V0, V1, VX, Value
 
 Syndrome = FrozenSet[Tuple[int, int]]
 """Failing positions: ``(time unit, primary output index)``."""
@@ -63,29 +63,19 @@ class FaultDictionary:
         compiled: CompiledCircuit | None = None,
     ) -> "FaultDictionary":
         """Simulate every fault and record its full syndrome."""
-        comp = compiled or compile_circuit(circuit)
-        flop_pos = {name: i for i, name in enumerate(circuit.flops)}
-        syndromes: Dict[Fault, set] = {f: set() for f in faults}
-        for start in range(0, len(faults), GROUP_FAULTS):
-            group = list(faults[start : start + GROUP_FAULTS])
-            sim = _GroupSim(comp, flop_pos, group)
-            for u, pattern in enumerate(stimulus):
-                sim.step(pattern)
-                for po, idx in enumerate(comp.po_indices):
-                    ones, zeros = sim.ones[idx], sim.zeros[idx]
-                    if ones & 1:
-                        failing = zeros
-                    elif zeros & 1:
-                        failing = ones
-                    else:
-                        continue
-                    failing &= ~1
-                    while failing:
-                        low = failing & -failing
-                        failing ^= low
-                        fault = sim.bit_fault[low.bit_length() - 1]
-                        syndromes[fault].add((u, po))
-        return cls({f: frozenset(s) for f, s in syndromes.items()})
+        good_rows, diffs = FaultSimulator(circuit, compiled).output_responses(
+            stimulus, faults
+        )
+        return cls(
+            {
+                fault: frozenset(
+                    (u, po)
+                    for (u, po), value in diff.items()
+                    if value != VX and good_rows[u][po] != VX
+                )
+                for fault, diff in diffs.items()
+            }
+        )
 
     @property
     def faults(self) -> Tuple[Fault, ...]:

@@ -26,13 +26,13 @@ signature and is conservatively counted as undetected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.baselines.lfsr import PRIMITIVE_TAPS
 from repro.circuit.builder import CircuitBuilder
 from repro.circuit.netlist import Circuit
 from repro.errors import HardwareError
-from repro.sim.values import V0, V1, VX, Value
+from repro.sim.values import VX, Value
 
 
 class Misr:
@@ -196,6 +196,10 @@ def signature_coverage(
 ) -> SignatureCoverage:
     """Grade ``faults`` under signature-based detection.
 
+    The good and faulty responses of each window come from one
+    :meth:`~repro.sim.faultsim.FaultSimulator.output_responses` pass on
+    the selected simulation backend.
+
     Parameters
     ----------
     circuit:
@@ -208,65 +212,54 @@ def signature_coverage(
     misr_width:
         MISR width; defaults to ``max(#POs, 8)``.
     """
-    from repro.sim.logicsim import LogicSimulator
     from repro.sim.faultsim import FaultSimulator
 
+    faults = list(faults)
     n_po = len(circuit.outputs)
     width = misr_width or max(n_po, 8)
-    logic = LogicSimulator(circuit)
+    sim = FaultSimulator(circuit)
 
-    # Good-machine responses, masks and golden signatures per window.
+    # Per window: the good machine's PO rows, the same rows with X
+    # masked to 0 (what the MISR absorbs), the golden signature, and
+    # every fault's PO differences from the good machine.
     windows = []
     masked_total = 0
     for stimulus in stimuli:
-        trace = logic.run(stimulus)
-        mask: List[Tuple[bool, ...]] = []
-        golden = Misr(width, n_po)
-        for outputs in trace.outputs:
-            row_mask = tuple(v == VX for v in outputs)
-            masked_total += sum(row_mask)
-            golden.absorb(
-                [0 if m else v for v, m in zip(outputs, row_mask)]
-            )
-            mask.append(row_mask)
-        windows.append((stimulus, mask, trace.outputs, golden.signature))
+        good_rows, diffs = sim.output_responses(stimulus, faults)
+        bit_rows = [[0 if v == VX else v for v in row] for row in good_rows]
+        masked_total += sum(row.count(VX) for row in good_rows)
+        golden = Misr(width, n_po).run(bit_rows)
+        windows.append((good_rows, bit_rows, diffs, golden))
 
     detected = []
     aliased = []
     unknown = []
     undetected = []
 
-    sim = FaultSimulator(circuit)
     for fault in faults:
         verdict = "undetected"
-        for stimulus, mask, good_rows, good_sig in windows:
-            faulty_outputs = _faulty_po_trace(sim, circuit, stimulus, fault)
-            misr = Misr(width, n_po)
+        for good_rows, bit_rows, diffs, good_sig in windows:
+            # The faulty machine absorbs the good bit rows with this
+            # fault's differences applied at the unmasked positions.
+            changed: Dict[int, List[int]] = {}
             window_unknown = False
-            any_discrepancy = False
-            for row, row_mask, good_row in zip(faulty_outputs, mask, good_rows):
-                bits = []
-                for v, m, g in zip(row, row_mask, good_row):
-                    if m:
-                        bits.append(0)
-                        continue
-                    if v == VX:
-                        # Unknown faulty value at an unmasked position:
-                        # the real signature is indeterminate.
-                        window_unknown = True
-                        bits.append(0)
-                    else:
-                        bits.append(v)
-                        if g in (V0, V1) and v != g:
-                            any_discrepancy = True
-                misr.absorb(bits)
+            for (u, po), value in diffs[fault].items():
+                if good_rows[u][po] == VX:
+                    continue
+                if value == VX:
+                    # Unknown faulty value at an unmasked position:
+                    # the real signature is indeterminate.
+                    window_unknown = True
+                    break
+                changed.setdefault(u, list(bit_rows[u]))[po] = value
             if window_unknown:
                 # Signature comparison is unsound for this window.
                 verdict = _stronger(verdict, "unknown")
-            elif misr.signature != good_sig:
-                verdict = "detected"
-                break
-            elif any_discrepancy:
+            elif changed:
+                rows = [changed.get(u, bits) for u, bits in enumerate(bit_rows)]
+                if Misr(width, n_po).run(rows) != good_sig:
+                    verdict = "detected"
+                    break
                 verdict = _stronger(verdict, "aliased")
         {
             "detected": detected,
@@ -289,26 +282,3 @@ _STRENGTH = {"undetected": 0, "unknown": 1, "aliased": 2, "detected": 3}
 
 def _stronger(current: str, candidate: str) -> str:
     return candidate if _STRENGTH[candidate] > _STRENGTH[current] else current
-
-
-def _faulty_po_trace(sim, circuit, stimulus, fault):
-    """Per-cycle ternary PO values of the faulty machine."""
-    from repro.sim.faultsim import _GroupSim
-
-    comp = sim.comp
-    flop_pos = {name: i for i, name in enumerate(circuit.flops)}
-    group = _GroupSim(comp, flop_pos, [fault])
-    rows = []
-    for pattern in stimulus:
-        group.step(pattern)
-        row = []
-        for idx in comp.po_indices:
-            ones, zeros = group.ones[idx], group.zeros[idx]
-            if ones & 2:
-                row.append(V1)
-            elif zeros & 2:
-                row.append(V0)
-            else:
-                row.append(VX)
-        rows.append(tuple(row))
-    return rows

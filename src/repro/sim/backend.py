@@ -2,13 +2,17 @@
 
 Two backends implement identical semantics:
 
-* ``"python"`` — the pure-Python oracle in :mod:`repro.sim.faultsim`.
-* ``"vector"`` — the word-packed kernel in :mod:`repro.sim.vector`
-  (numpy when available, pure-stdlib big-int fallback otherwise).
+* ``"python"`` — the pure-Python oracle in :mod:`repro.sim.faultsim`,
+  one 64-lane word per fault group.
+* ``"vector"`` — the word-packed big-int kernel in
+  :mod:`repro.sim.vector`, every fault of a run in one compiled pass.
 
 ``"auto"`` resolves to ``"vector"``: the backends are proven
 bit-identical by the cross-backend differential suite, so the faster
-one is the default everywhere.  Resolution precedence: explicit
+one is the default everywhere.  Every :class:`~repro.sim.faultsim.FaultSimulator`
+entry point honours the selection, including
+:meth:`~repro.sim.faultsim.FaultSimulator.output_responses`, which MISR
+grading and fault dictionaries run on.  Resolution precedence: explicit
 ``backend=`` argument > ``RuntimeContext.sim_backend`` >
 ``REPRO_SIM_BACKEND`` environment variable > ``"auto"``.
 """

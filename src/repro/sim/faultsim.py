@@ -15,7 +15,10 @@ and the complementary binary value in ``f``'s machine.
 
 Two front ends share the stepping engine:
 
-* :class:`FaultSimulator` — whole-sequence runs with fault dropping.
+* :class:`FaultSimulator` — whole-sequence runs with fault dropping,
+  screening, and :meth:`~FaultSimulator.output_responses`, the
+  every-position PO responses that MISR grading and fault dictionaries
+  consume.
 * :class:`IncrementalFaultSimulator` — pattern-at-a-time stepping with
   snapshot/restore, used by the simulation-based test generator to
   evaluate candidate patterns without re-simulating the prefix.
@@ -32,11 +35,11 @@ identical to the serial, uncached run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.circuit.bench import write_bench
 from repro.circuit.netlist import Circuit
-from repro.errors import SimulationError
+from repro.errors import FaultModelError, SimulationError
 from repro.sim.compile import (
     CompiledCircuit,
     OP_AND,
@@ -51,15 +54,14 @@ from repro.sim.compile import (
 from repro.sim.backend import resolve_backend
 from repro.sim.faults import Fault, FaultPruner, fault_name, validate_fault
 from repro.sim.values import V0, V1, VX, Value
-from repro.sim.vector.packing import WORD_BITS
+from repro.sim.vector.kernels import WORD_BITS
 from repro.trace import trace_event
 
 GROUP_FAULTS = WORD_BITS - 1
 """Faulty machines per simulation word (bit 0 is the good machine).
 
-Derived from the packing module's word width rather than assuming the
-host word size, so every group/snapshot/mask computation stays correct
-if the packing width ever changes.
+Derived from the vector kernel's word width rather than assuming the
+host word size, so both backends agree on what one word holds.
 """
 
 
@@ -107,6 +109,7 @@ class _GroupSim:
         )
         self._pi_sf = [stem_force.get(idx) for idx in comp.pi_indices]
         self._ff_sf = [stem_force.get(idx) for idx in comp.ff_indices]
+        self._stem_force = stem_force
 
         self.ones = [0] * comp.n_nets
         self.zeros = [0] * comp.n_nets
@@ -128,6 +131,22 @@ class _GroupSim:
     def reset_state(self) -> None:
         """Force the circuit state to all-X (does not reactivate faults)."""
         self.state = [(0, 0)] * len(self.comp.ff_indices)
+
+    def stem_slots(self, rows: Set[int]) -> Dict[int, List[int]]:
+        """The mutable stem-force slot of each net row in ``rows``.
+
+        A slot is the ``[force0, force1, forceX]`` bit-mask list the
+        engine applies wherever the row is written (PI load, flip-flop
+        load or gate output); rewriting it in place changes the force
+        the next :meth:`step` applies.  Every row must carry a stem
+        fault of this group.  Constant rows have no slot: the engine
+        rewrites them every cycle.
+        """
+        consts = {*self.comp.const0_indices, *self.comp.const1_indices}
+        missing = {r for r in rows if r not in self._stem_force or r in consts}
+        if missing:
+            raise FaultModelError(f"no force slot for nets {sorted(missing)}")
+        return {row: self._stem_force[row] for row in rows}
 
     def faults_of_mask(self, mask: int) -> List[Fault]:
         """Map a bit mask back to its faults."""
@@ -242,6 +261,16 @@ class _GroupSim:
             new_state.append((o, z))
         self.state = new_state
         return detected
+
+    def po_trace(
+        self, stimulus: Sequence[Sequence[Value]]
+    ) -> Iterator[List[Tuple[int, int]]]:
+        """Step every pattern; per cycle, each primary output's
+        ``(ones, zeros)`` words (no early stop)."""
+        po_indices = self.comp.po_indices
+        for pattern in stimulus:
+            self.step(pattern)
+            yield [(self.ones[idx], self.zeros[idx]) for idx in po_indices]
 
     def discrepancy_lines(self) -> Dict[Fault, List[str]]:
         """Nets where each fault's machine disagrees (binary vs binary
@@ -604,6 +633,48 @@ class FaultSimulator:
             lines=lines,
         )
 
+    # -- output responses ---------------------------------------------------
+
+    def output_responses(
+        self,
+        stimulus: Sequence[Sequence[Value]],
+        faults: Sequence[Fault],
+    ) -> Tuple[List[Tuple[Value, ...]], Dict[Fault, Dict[Tuple[int, int], Value]]]:
+        """Primary-output responses of the good and every faulty machine.
+
+        Returns ``(good_rows, diffs)``.  ``good_rows[u]`` is the good
+        machine's ternary PO row at time ``u``.  ``diffs[fault]`` maps
+        every ``(u, po)`` where ``fault``'s machine differs from the
+        good one — binary complement, or binary versus X either way —
+        to the faulty value; it is keyed in the order of ``faults``.
+        Each fault is simulated over the whole stimulus, with no fault
+        dropping, cache, worker pool or pruning: response compaction
+        (MISR grading) and diagnosis dictionaries read every position,
+        and a certified-untestable fault's X responses still matter.
+        """
+        faults = list(faults)
+        for fault in faults:
+            validate_fault(self.circuit, fault)
+        if self._use_vector:
+            passes = [(faults, self._vector_engine().po_trace(stimulus, faults))]
+        else:
+            groups = [
+                faults[start : start + GROUP_FAULTS]
+                for start in range(0, len(faults), GROUP_FAULTS)
+            ] or [[]]
+            passes = [
+                (group, _GroupSim(self.comp, self._flop_pos, group).po_trace(stimulus))
+                for group in groups
+            ]
+        diffs: Dict[Fault, Dict[Tuple[int, int], Value]] = {f: {} for f in faults}
+        good_rows: List[Tuple[Value, ...]] = []
+        for lane_fault, trace in passes:
+            good_rows = [
+                _decode_po_words(u, words, lane_fault, diffs)
+                for u, words in enumerate(trace)
+            ]
+        return good_rows, diffs
+
     # -- screening ----------------------------------------------------------
 
     def detects_any(
@@ -677,18 +748,6 @@ class FaultSimulator:
         pooled = ctx is not None and ctx.executor.jobs > 1
         if len(stimuli) <= 1 or not (pooled or self._use_vector):
             return [self.detects_any(s, faults) for s in stimuli]
-        if ctx is None:
-            # Vector backend without a runtime: no cache or stats to
-            # maintain, just one batched kernel screen.
-            faults = list(faults)
-            for fault in faults:
-                validate_fault(self.circuit, fault)
-            kept = self._prune(faults)
-            if kept is not None:
-                if not kept:
-                    return [False] * len(stimuli)
-                faults = kept
-            return self._vector_engine().screen_batch(stimuli, faults)
         faults = list(faults)
         for fault in faults:
             validate_fault(self.circuit, fault)
@@ -697,6 +756,10 @@ class FaultSimulator:
             if not kept:
                 return [False] * len(stimuli)
             faults = kept
+        if ctx is None:
+            # Vector backend without a runtime: no cache or stats to
+            # maintain, just one batched kernel screen.
+            return self._vector_engine().screen_batch(stimuli, faults)
         verdicts: List[Optional[bool]] = [None] * len(stimuli)
         keys: Optional[List[str]] = None
         if ctx.cache is not None:
@@ -999,6 +1062,35 @@ def _eval_with_pin_forces(
     if opcode == OP_XNOR:
         return z, o
     return o, z
+
+
+def _decode_po_words(
+    u: int,
+    words: Sequence[Tuple[int, int]],
+    lane_fault: Sequence[Fault],
+    diffs: Dict[Fault, Dict[Tuple[int, int], Value]],
+) -> Tuple[Value, ...]:
+    """Decode one cycle's primary-output ``(ones, zeros)`` lane words.
+
+    Lane 0 is the good machine and lane ``l`` is ``lane_fault[l - 1]``;
+    lanes past the faults are padding.  Records in ``diffs`` each fault
+    whose value differs from the good machine's at ``(u, po)`` and
+    returns the good row.
+    """
+    lanes = ((1 << (len(lane_fault) + 1)) - 1) & ~1
+    row = []
+    for po, (o, z) in enumerate(words):
+        good = V1 if o & 1 else V0 if z & 1 else VX
+        row.append(good)
+        for value, mask in ((V1, o), (V0, z), (VX, ~(o | z))):
+            if value == good:
+                continue
+            mask &= lanes
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                diffs[lane_fault[low.bit_length() - 2]][(u, po)] = value
+    return tuple(row)
 
 
 def _result_payload(result: FaultSimResult, record_lines: bool) -> dict:

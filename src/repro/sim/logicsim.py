@@ -1,8 +1,12 @@
 """3-valued sequential logic simulator (fault-free machine).
 
 :class:`LogicSimulator` is the one good-machine engine: every consumer
-that needs fault-free behaviour (TPG replay verification, MISR grading,
-BIST closure, diagnosis dictionaries) runs through it.  On first use it
+that needs fault-free behaviour alone (TPG replay verification, BIST
+closure, observed diagnosis syndromes) runs through it.  Consumers that
+compare good and faulty responses (MISR grading, fault dictionaries)
+read both from one
+:meth:`~repro.sim.faultsim.FaultSimulator.output_responses` pass
+instead, whose good rows equal this simulator's outputs.  On first use it
 generates a Python function from the circuit's
 :class:`~repro.sim.compile.CompiledCircuit` that holds the whole cycle
 loop as straight-line code: every net's value lives in two local rails

@@ -159,9 +159,7 @@ class TransitionFaultSimulator:
 
         placeholders = [StuckFault(f.net, 0) for f in group]
         sim = _GroupSim(comp, flop_pos, placeholders)
-        slot_of_net = _extract_stem_slots(
-            sim, comp, {comp.index[f.net] for f in group}
-        )
+        slot_of_net = sim.stem_slots({comp.index[f.net] for f in group})
 
         bit_of_fault = {f: 1 << (k + 1) for k, f in enumerate(group)}
         site_index = {f: comp.index[f.net] for f in group}
@@ -204,28 +202,3 @@ class TransitionFaultSimulator:
                 newly ^= low
                 fault = group[low.bit_length() - 2]
                 detection[fault] = u
-
-
-def _extract_stem_slots(
-    sim: _GroupSim, comp: CompiledCircuit, net_indices: set
-) -> Dict[int, List[int]]:
-    """Locate the group engine's mutable stem-force slots per net.
-
-    The engine shares one ``[force0, force1]`` list per stem net across
-    its PI/FF/op annotations; rewriting those lists in place changes
-    the force the next ``step`` applies.
-    """
-    slots: Dict[int, List[int]] = {}
-    for slot, idx in zip(sim._pi_sf, comp.pi_indices):  # noqa: SLF001
-        if slot is not None and idx in net_indices:
-            slots[idx] = slot
-    for slot, idx in zip(sim._ff_sf, comp.ff_indices):  # noqa: SLF001
-        if slot is not None and idx in net_indices:
-            slots[idx] = slot
-    for _opcode, out, _fanins, _pf, sf in sim._ops:  # noqa: SLF001
-        if sf is not None and out in net_indices:
-            slots[out] = sf
-    missing = net_indices - set(slots)
-    if missing:  # pragma: no cover — every site must be a PI/FF/gate
-        raise FaultModelError(f"no force slot for nets {sorted(missing)}")
-    return slots

@@ -1,8 +1,9 @@
-"""High-level driver for the vector kernels.
+"""High-level driver for the vector kernel.
 
 :class:`VectorEngine` is the front end :class:`~repro.sim.faultsim.FaultSimulator`
 delegates to for ``backend="vector"``: whole-sequence runs, line
-recording, screening, and multi-stimulus batched screening/runs.
+recording, primary-output traces, screening, and multi-stimulus batched
+screening/runs.
 :class:`VectorIncremental` backs ``IncrementalFaultSimulator``.
 
 Semantics are defined by the pure-Python oracle; everything here is
@@ -23,13 +24,13 @@ Semantics are defined by the pure-Python oracle; everything here is
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.compile import CompiledCircuit
 from repro.sim.faults import Fault
 from repro.sim.values import V0, V1, VX, Value
-from repro.sim.vector.kernels import make_kernel
+from repro.sim.vector.kernels import WORD_BITS, IntKernel
 from repro.sim.vector.program import build_program
 
 MAX_BLOCKS = 16
@@ -82,11 +83,10 @@ class VectorEngine:
         faults: Sequence[Fault],
         record_lines: bool = False,
         early_stop: bool = True,
-        packing: Optional[str] = None,
     ) -> Tuple[Dict[Fault, int], Dict[Fault, Set[str]]]:
         """One stimulus against all ``faults``; returns (detection, lines)."""
         prog = self._program(faults)
-        kern = make_kernel(prog, 1, packing)
+        kern = IntKernel(prog)
         lane_fault: Tuple[Fault, ...] = prog.faults
         names = self.comp.names
         detection: Dict[Fault, int] = {}
@@ -111,18 +111,32 @@ class VectorEngine:
             if early_stop:
                 if not kern.active:
                     break
-                kern, lane_fault = self._maybe_compact(kern, lane_fault, packing)
+                kern, lane_fault = self._maybe_compact(kern, lane_fault)
         return detection, lines
 
-    def _maybe_compact(
-        self, kern, lane_fault: Tuple[Fault, ...], packing: Optional[str]
-    ):
+    def po_trace(
+        self,
+        stimulus: Sequence[Sequence[Value]],
+        faults: Sequence[Fault],
+    ) -> Iterator[List[Tuple[int, int]]]:
+        """Per cycle, every primary output's ``(ones, zeros)`` lane words.
+
+        One kernel pass over every fault and every cycle: no early stop
+        and no compaction, so lane ``l`` stays ``faults[l - 1]``.
+        """
+        kern = IntKernel(self._program(faults))
+        po_rows = self.comp.po_indices
+        for pattern in stimulus:
+            kern.step([_check_pattern(pattern, self._n_pi)])
+            yield [(kern.O[idx], kern.Z[idx]) for idx in po_rows]
+
+    def _maybe_compact(self, kern: IntKernel, lane_fault: Tuple[Fault, ...]):
         """Repack surviving lanes into fewer words once half the words
         can be dropped.  The halving threshold bounds rebuilds per run
         to ``log2(words)`` — each rebuild recompiles the program, so
         rebuilding on every dropped word costs more than it saves."""
         survivors_n = _popcount(kern.active)
-        need = -(-(survivors_n + 1) // kern.word_bits)
+        need = -(-(survivors_n + 1) // WORD_BITS)
         if need > kern.words_per_block // 2:
             return kern, lane_fault
         act = kern.active
@@ -137,7 +151,7 @@ class VectorEngine:
         states = [kern.extract_lane(lane) for _, lane in survivors]
         new_faults = tuple(f for f, _ in survivors)
         prog = build_program(self.comp, self.flop_pos, new_faults)
-        new_kern = make_kernel(prog, 1, packing, word_bits=kern.word_bits)
+        new_kern = IntKernel(prog)
         new_kern.load_state([good] + states)
         return new_kern, new_faults
 
@@ -147,23 +161,19 @@ class VectorEngine:
         self,
         stimulus: Sequence[Sequence[Value]],
         faults: Sequence[Fault],
-        packing: Optional[str] = None,
     ) -> bool:
-        return self.screen_batch([stimulus], faults, packing)[0]
+        return self.screen_batch([stimulus], faults)[0]
 
     def screen_batch(
         self,
         stimuli: Sequence[Sequence[Sequence[Value]]],
         faults: Sequence[Fault],
-        packing: Optional[str] = None,
     ) -> List[bool]:
         """Per stimulus: would it detect at least one of ``faults``?"""
         out: List[bool] = []
         for start in range(0, len(stimuli), MAX_BLOCKS):
             out.extend(
-                self._screen_blocks(
-                    stimuli[start : start + MAX_BLOCKS], faults, packing
-                )
+                self._screen_blocks(stimuli[start : start + MAX_BLOCKS], faults)
             )
         return out
 
@@ -171,11 +181,10 @@ class VectorEngine:
         self,
         chunk: Sequence[Sequence[Sequence[Value]]],
         faults: Sequence[Fault],
-        packing: Optional[str],
     ) -> List[bool]:
         n_blocks = len(chunk)
         prog = self._program(faults)
-        kern = make_kernel(prog, n_blocks, packing)
+        kern = IntKernel(prog, n_blocks)
         lens = [len(s) for s in chunk]
         done = [length == 0 for length in lens]
         verdicts = [False] * n_blocks
@@ -212,17 +221,13 @@ class VectorEngine:
         stimuli: Sequence[Sequence[Sequence[Value]]],
         faults: Sequence[Fault],
         early_stop: bool = True,
-        packing: Optional[str] = None,
     ) -> List[Dict[Fault, int]]:
         """Whole-sequence detection times, one dict per stimulus."""
         out: List[Dict[Fault, int]] = []
         for start in range(0, len(stimuli), MAX_BLOCKS):
             out.extend(
                 self._run_blocks(
-                    stimuli[start : start + MAX_BLOCKS],
-                    faults,
-                    early_stop,
-                    packing,
+                    stimuli[start : start + MAX_BLOCKS], faults, early_stop
                 )
             )
         return out
@@ -232,11 +237,10 @@ class VectorEngine:
         chunk: Sequence[Sequence[Sequence[Value]]],
         faults: Sequence[Fault],
         early_stop: bool,
-        packing: Optional[str],
     ) -> List[Dict[Fault, int]]:
         n_blocks = len(chunk)
         prog = self._program(faults)
-        kern = make_kernel(prog, n_blocks, packing)
+        kern = IntKernel(prog, n_blocks)
         lane_fault = prog.faults
         lens = [len(s) for s in chunk]
         done = [length == 0 for length in lens]
@@ -286,14 +290,12 @@ class VectorIncremental:
         comp: CompiledCircuit,
         flop_pos: Dict[str, int],
         faults: Sequence[Fault],
-        packing: Optional[str] = None,
     ) -> None:
         self.comp = comp
         self.flop_pos = dict(flop_pos)
-        self._packing = packing
         self._lane_fault: Tuple[Fault, ...] = tuple(faults)
         prog = build_program(comp, flop_pos, self._lane_fault)
-        self._kern = make_kernel(prog, 1, packing)
+        self._kern = IntKernel(prog)
         self._n_pi = len(comp.pi_indices)
 
     def remaining_faults(self) -> List[Fault]:
@@ -338,5 +340,5 @@ class VectorIncremental:
         states = [kern.extract_lane(lane) for _, lane in survivors]
         self._lane_fault = tuple(f for f, _ in survivors)
         prog = build_program(self.comp, self.flop_pos, self._lane_fault)
-        self._kern = make_kernel(prog, 1, self._packing)
+        self._kern = IntKernel(prog)
         self._kern.load_state([good] + states)

@@ -1,4 +1,4 @@
-"""Compilation of (circuit, fault list) into a kernel-agnostic program.
+"""Compilation of (circuit, fault list) into a kernel program.
 
 Fault forces come in three shapes, mirroring the oracle exactly:
 
@@ -13,21 +13,10 @@ Stem faults on constant nets are dropped: the pure-Python engine
 rewrites constant rows after applying stem forces, so such forces are
 silently inert there, and the vector backend must agree.
 
-Two schedule views serve the two kernels:
-
-* :attr:`VectorProgram.flat_ops` — the oracle's topological op order
-  with per-op stem/pin forces, for the big-int kernel (same shape as
-  ``_GroupSim._ops``, so the evaluation loop is a line-for-line mirror).
-* :attr:`VectorProgram.waves` — for the numpy kernel, ops are packed
-  into *waves* by a greedy ready-set scheduler: each wave holds same-
-  ``(opcode, arity)`` gates whose fanins are all computed, so one
-  gather + one reduce evaluates the whole wave.  Pin forces ride along
-  as sparse ``(position, pin, f0, f1)`` entries applied to the wave's
-  *gathered* fanin values, never to the driving rows — the exact
-  ephemeral-pin semantics of the oracle, with no extra rows and no
-  extra schedule depth.  Any topological schedule computes identical
-  values — every row is written exactly once per cycle — so wave order
-  is a pure performance choice.
+The schedule, :attr:`VectorProgram.flat_ops`, is the oracle's
+topological op order with per-op stem/pin forces (same shape as
+``_GroupSim._ops``, so the kernel's evaluation is a line-for-line
+mirror).
 """
 
 from __future__ import annotations
@@ -39,7 +28,7 @@ from repro.sim.faults import Fault
 
 
 class VectorProgram:
-    """Execution-ready, packing-agnostic form of one (circuit, faults) pair."""
+    """Execution-ready form of one (circuit, faults) pair."""
 
     __slots__ = (
         "comp",
@@ -47,7 +36,6 @@ class VectorProgram:
         "lanes",
         "n_circuit_rows",
         "flat_ops",
-        "waves",
         "load_forces",
         "ff_capture",
         "pi_rows",
@@ -72,10 +60,9 @@ class VectorProgram:
         self.const1_rows = comp.const1_indices
         # Filled by build_program:
         self.flat_ops: Tuple = ()
-        self.waves: Tuple = ()
         self.load_forces: Tuple[Tuple[int, int, int], ...] = ()
         self.ff_capture: Dict[int, Tuple[int, int]] = {}
-        # Compiled-step cache, shared by all int kernels of this program.
+        # Compiled-step cache, shared by all kernels of this program.
         self.codegen_cache: Dict = {}
 
 
@@ -132,64 +119,4 @@ def build_program(
         )
         for opcode, out, fanins in comp.ops
     )
-
-    _build_waves(prog, stem_force, pin_force)
     return prog
-
-
-def _build_waves(
-    prog: VectorProgram,
-    stem_force: Dict[int, List[int]],
-    pin_force: Dict[int, Dict[int, List[int]]],
-) -> None:
-    """The numpy schedule: ops packed into class waves.
-
-    Greedy ready-set scheduling: repeatedly flush the (opcode, arity)
-    class with the most ready ops.  Deterministic: ties break on the
-    class key, waves keep op emission order.
-    """
-    ops = prog.comp.ops
-    producer = {out: i for i, (_, out, _) in enumerate(ops)}
-    missing = [0] * len(ops)
-    consumers: Dict[int, List[int]] = {}
-    for i, (_, _, fanins) in enumerate(ops):
-        deps = {producer[f] for f in fanins if f in producer}
-        missing[i] = len(deps)
-        for d in deps:
-            consumers.setdefault(d, []).append(i)
-
-    classes: Dict[Tuple[int, int], List[int]] = {}
-    for i, (opcode, _, fanins) in enumerate(ops):
-        if missing[i] == 0:
-            classes.setdefault((opcode, len(fanins)), []).append(i)
-
-    waves = []
-    remaining = len(ops)
-    while remaining:
-        key = min(classes, key=lambda k: (-len(classes[k]), k))
-        wave_ids = sorted(classes.pop(key))
-        remaining -= len(wave_ids)
-        opcode, arity = key
-        outs = tuple(ops[i][1] for i in wave_ids)
-        fanins = tuple(ops[i][2] for i in wave_ids)
-        stems = tuple(
-            (pos, stem_force[out][0], stem_force[out][1])
-            for pos, out in enumerate(outs)
-            if out in stem_force
-        )
-        pins = tuple(
-            (pos, pin, f0, f1)
-            for pos, out in enumerate(outs)
-            if out in pin_force
-            for pin, (f0, f1) in sorted(pin_force[out].items())
-        )
-        waves.append((opcode, arity, outs, fanins, stems, pins))
-        for i in wave_ids:
-            for consumer in consumers.get(i, ()):
-                missing[consumer] -= 1
-                if missing[consumer] == 0:
-                    c_op, _, c_fanins = ops[consumer]
-                    classes.setdefault((c_op, len(c_fanins)), []).append(
-                        consumer
-                    )
-    prog.waves = tuple(waves)

@@ -7,6 +7,7 @@ import pytest
 from repro.circuit.gates import Gate, GateType
 from repro.circuit.netlist import Circuit
 from repro.diag import FaultDictionary, observed_syndrome
+from repro.errors import FaultModelError
 from repro.sim import Fault, FaultSimulator, collapse_faults
 
 
@@ -95,3 +96,7 @@ class TestDictionary:
 
     def test_faults_listing(self, s27_faults, s27_dictionary):
         assert set(s27_dictionary.faults) == set(s27_faults)
+
+    def test_unknown_fault_net_rejected(self, s27, paper_t):
+        with pytest.raises(FaultModelError, match="nope"):
+            FaultDictionary.build(s27, paper_t.patterns, [Fault("nope", 0)])

@@ -6,9 +6,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core import ProcedureConfig, select_weight_assignments
-from repro.errors import HardwareError
+from repro.errors import FaultModelError, HardwareError
 from repro.hw import Misr, signature_coverage, synthesize_misr
-from repro.sim import LogicSimulator, V0, V1
+from repro.sim import Fault, LogicSimulator, V0, V1
 from repro.util.rng import DeterministicRng
 
 
@@ -123,3 +123,7 @@ class TestSignatureCoverage:
         assert len(grading.detected) <= len(percycle.detection_time)
         # Every signature-detected fault is per-cycle detected.
         assert set(grading.detected) <= set(percycle.detection_time)
+
+    def test_unknown_fault_net_rejected(self, s27, paper_t):
+        with pytest.raises(FaultModelError, match="nope"):
+            signature_coverage(s27, [paper_t.patterns], [Fault("nope", 0)])

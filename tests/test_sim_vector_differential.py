@@ -5,9 +5,10 @@ for the pure-Python oracle: same :class:`FaultSimResult`, same
 detection times, same recorded discrepancy lines, for every circuit,
 fault list and ternary stimulus.  These tests enforce that contract —
 by hypothesis over random synthetic circuits, over the bundled
-``.bench`` fixtures and library circuits, under both word packings,
-with the numpy fallback forced, with pruned configurations, and at the
-word-width boundaries the packing introduces.
+``.bench`` fixtures and library circuits, with pruned configurations,
+at the word-width boundaries of the lane packing, and for the consumers
+of :meth:`FaultSimulator.output_responses` (MISR grading and fault
+dictionaries).
 """
 
 from __future__ import annotations
@@ -21,15 +22,19 @@ from hypothesis import given, settings, strategies as st
 from repro.circuit import parse_bench
 from repro.circuit.library import load_circuit
 from repro.circuit.synth import SynthSpec, synthesize
-from repro.sim import FaultSimulator, IncrementalFaultSimulator
+from repro.diag import FaultDictionary
+from repro.hw import signature_coverage
+from repro.sim import (
+    VX,
+    FaultSimulator,
+    IncrementalFaultSimulator,
+    LogicSimulator,
+)
 from repro.sim.faults import FaultPruner, all_faults
 from repro.sim.faultsim import GROUP_FAULTS
-from repro.sim.vector.packing import WORD_BITS, numpy_available
+from repro.sim.vector import WORD_BITS
 
 FIXTURES = Path(__file__).parent / "fixtures"
-
-#: Forced word packings to exercise; numpy only where importable.
-PACKINGS = ["int"] + (["numpy"] if numpy_available() else [])
 
 
 def _random_stimulus(rng, n_pi, max_len, ternary=True):
@@ -47,8 +52,7 @@ def _assert_same_result(a, b, context=""):
     assert a.lines == b.lines, context
 
 
-def _run_both(circuit, stimulus, faults, packing, monkeypatch, **kw):
-    monkeypatch.setenv("REPRO_SIM_PACKING", packing)
+def _run_both(circuit, stimulus, faults, **kw):
     oracle = FaultSimulator(circuit, backend="python").run(
         stimulus, faults, **kw
     )
@@ -92,6 +96,39 @@ class TestRandomCircuits:
         )
         _assert_same_result(oracle, vector)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        n_pi=st.integers(min_value=1, max_value=5),
+        n_po=st.integers(min_value=1, max_value=3),
+        n_ff=st.integers(min_value=0, max_value=5),
+        n_gates=st.integers(min_value=3, max_value=24),
+        stim_seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_output_responses_agree(
+        self, seed, n_pi, n_po, n_ff, n_gates, stim_seed
+    ):
+        # Enough late gates for distinct PO taps (the synthesizer
+        # repeats a tap, which the netlist rejects, when it runs out).
+        n_gates = max(n_gates, 2 * (n_ff + n_po))
+        circuit = synthesize(
+            SynthSpec("hyp", n_pi, n_po, n_ff, n_gates, seed=seed)
+        )
+        faults = all_faults(circuit)
+        rng = random.Random(stim_seed)
+        if rng.random() < 0.5:
+            faults = [f for f in faults if rng.random() < 0.5]
+        stimulus = _random_stimulus(rng, n_pi, 12)
+        oracle = FaultSimulator(circuit, backend="python").output_responses(
+            stimulus, faults
+        )
+        vector = FaultSimulator(circuit, backend="vector").output_responses(
+            stimulus, faults
+        )
+        assert oracle == vector
+        assert list(oracle[1]) == list(vector[1]) == faults
+        assert oracle[0] == list(LogicSimulator(circuit).run(stimulus).outputs)
+
     @settings(max_examples=15, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
@@ -113,14 +150,13 @@ class TestRandomCircuits:
                 inc_vec.regroup()
 
 
-@pytest.mark.parametrize("packing", PACKINGS)
 class TestFixtureCircuits:
-    """Bundled circuits, both packings, every entry point."""
+    """Bundled circuits, every entry point."""
 
     @pytest.mark.parametrize(
         "name", ["s27", "g208", "defects.bench"]
     )
-    def test_run_equivalence(self, name, packing, monkeypatch):
+    def test_run_equivalence(self, name):
         circuit = (
             parse_bench(FIXTURES / name)
             if name.endswith(".bench")
@@ -135,15 +171,12 @@ class TestFixtureCircuits:
                 {},
                 {"stop_when_all_detected": False},
             ):
-                oracle, vector = _run_both(
-                    circuit, stimulus, faults, packing, monkeypatch, **kw
-                )
+                oracle, vector = _run_both(circuit, stimulus, faults, **kw)
                 _assert_same_result(
                     oracle, vector, f"{name} trial={trial} kw={kw}"
                 )
 
-    def test_screen_and_batch_parity(self, packing, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_PACKING", packing)
+    def test_screen_and_batch_parity(self):
         circuit = load_circuit("g208")
         faults = all_faults(circuit)
         rng = random.Random(11)
@@ -166,11 +199,10 @@ class TestFixtureCircuits:
                 result,
             )
 
-    def test_power_up_state_sweep(self, packing, monkeypatch):
+    def test_power_up_state_sweep(self):
         """reset_state restores the all-X power-up state exactly: a
         second sweep of the same walk detects the same faults at the
         same steps, on both backends."""
-        monkeypatch.setenv("REPRO_SIM_PACKING", packing)
         circuit = load_circuit("s27")
         faults = all_faults(circuit)
         rng = random.Random(3)
@@ -189,8 +221,7 @@ class TestFixtureCircuits:
             survivors = inc.remaining_faults()
             assert sorted(survivors + detected_once) == sorted(faults)
 
-    def test_pruned_config_equivalence(self, packing, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_PACKING", packing)
+    def test_pruned_config_equivalence(self):
         circuit = parse_bench(FIXTURES / "defects.bench")
         faults = all_faults(circuit)
         pruner = FaultPruner(circuit)
@@ -207,41 +238,33 @@ class TestFixtureCircuits:
         plain = FaultSimulator(circuit, backend="vector").run(stimulus, faults)
         _assert_same_result(vector, plain)
 
-
-class TestNoNumpyFallback:
-    """The vector backend works — identically — without numpy."""
-
-    def test_pure_stdlib_packing(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        monkeypatch.delenv("REPRO_SIM_PACKING", raising=False)
-        assert not numpy_available()
-        circuit = load_circuit("s27")
+    def test_output_responses_g208(self):
+        """Every fault of g208 (several oracle groups, one kernel pass)
+        over a ternary stimulus: same good rows, same sparse diffs."""
+        circuit = load_circuit("g208")
         faults = all_faults(circuit)
-        rng = random.Random(9)
-        stimulus = _random_stimulus(rng, len(circuit.inputs), 20)
-        oracle = FaultSimulator(circuit, backend="python").run(
-            stimulus, faults, record_lines=True, stop_when_all_detected=False
-        )
-        vector = FaultSimulator(circuit, backend="vector").run(
-            stimulus, faults, record_lines=True, stop_when_all_detected=False
-        )
-        _assert_same_result(oracle, vector)
-
-    def test_forced_numpy_without_numpy_raises(self, monkeypatch):
-        from repro.errors import SimulationError
-        from repro.sim.vector.packing import choose_packing
-
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        monkeypatch.setenv("REPRO_SIM_PACKING", "numpy")
-        with pytest.raises(SimulationError):
-            choose_packing(4)
+        assert len(faults) > 2 * GROUP_FAULTS
+        rng = random.Random(17)
+        stimulus = [
+            [rng.choice([0, 1, 2]) for _ in circuit.inputs] for _ in range(40)
+        ]
+        good, diffs = FaultSimulator(
+            circuit, backend="python"
+        ).output_responses(stimulus, faults)
+        assert (good, diffs) == FaultSimulator(
+            circuit, backend="vector"
+        ).output_responses(stimulus, faults)
+        assert good == list(LogicSimulator(circuit).run(stimulus).outputs)
+        values = [v for diff in diffs.values() for v in diff.values()]
+        # Both difference kinds occur: binary complement and binary/X.
+        assert VX in values and any(v != VX for v in values)
 
 
 class TestWordBoundaries:
     """Fault counts straddling the word width pack correctly."""
 
     def test_group_faults_derived_from_word_bits(self):
-        # The packing module owns the word width; the simulator's group
+        # The vector kernel owns the word width; the simulator's group
         # size (63 = word minus the good-machine lane) must follow it.
         assert GROUP_FAULTS == WORD_BITS - 1
         assert WORD_BITS == 64
@@ -250,29 +273,24 @@ class TestWordBoundaries:
         "n_faults", [GROUP_FAULTS - 1, GROUP_FAULTS, GROUP_FAULTS + 1,
                      WORD_BITS, WORD_BITS + 1, 2 * GROUP_FAULTS + 3]
     )
-    def test_boundary_fault_counts(self, n_faults, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_PACKING", "int")
+    def test_boundary_fault_counts(self, n_faults):
         circuit = load_circuit("g208")
         faults = all_faults(circuit)[:n_faults]
         assert len(faults) == n_faults
         rng = random.Random(n_faults)
         stimulus = _random_stimulus(rng, len(circuit.inputs), 20)
         oracle, vector = _run_both(
-            circuit, stimulus, faults, "int", monkeypatch,
-            stop_when_all_detected=False,
+            circuit, stimulus, faults, stop_when_all_detected=False
         )
         _assert_same_result(oracle, vector)
 
-    def test_single_fault(self, monkeypatch):
+    def test_single_fault(self):
         circuit = load_circuit("s27")
         fault = all_faults(circuit)[0]
         rng = random.Random(1)
         stimulus = _random_stimulus(rng, len(circuit.inputs), 20)
-        for packing in PACKINGS:
-            oracle, vector = _run_both(
-                circuit, stimulus, [fault], packing, monkeypatch
-            )
-            _assert_same_result(oracle, vector)
+        oracle, vector = _run_both(circuit, stimulus, [fault])
+        _assert_same_result(oracle, vector)
 
     def test_zero_faults(self):
         circuit = load_circuit("s27")
@@ -290,26 +308,6 @@ class TestWordBoundaries:
         vector = FaultSimulator(circuit, backend="vector").run([], faults)
         _assert_same_result(oracle, vector)
         assert vector.detection_time == {}
-
-    def test_int_kernel_word_bits_parity(self):
-        """Block padding width never changes outcomes: an IntKernel
-        built at word_bits=16 steps identically to the 64-bit one."""
-        from repro.sim.compile import compile_circuit
-        from repro.sim.vector.kernels import IntKernel
-        from repro.sim.vector.program import build_program
-
-        circuit = load_circuit("s27")
-        comp = compile_circuit(circuit)
-        flop_pos = {name: i for i, name in enumerate(circuit.flops)}
-        faults = all_faults(circuit)[:GROUP_FAULTS]
-        program = build_program(comp, flop_pos, faults)
-        narrow = IntKernel(program, word_bits=16)
-        wide = IntKernel(program, word_bits=64)
-        rng = random.Random(2)
-        for _ in range(10):
-            pattern = [rng.choice([0, 1]) for _ in circuit.inputs]
-            assert narrow.step([pattern]) == wide.step([pattern])
-            assert narrow.discrepancies() == wide.discrepancies()
 
 
 class TestIncrementalPartialDetection:
@@ -353,3 +351,37 @@ class TestIncrementalPartialDetection:
             hits += verdict
             misses += not verdict
         assert hits and misses  # both answers exercised
+
+
+class TestResponseConsumers:
+    """MISR grading and fault dictionaries give the same answers on
+    either backend (selected through ``REPRO_SIM_BACKEND``)."""
+
+    def test_dictionary_and_signature_parity(self, monkeypatch):
+        circuit = load_circuit("s27")
+        faults = all_faults(circuit)
+        rng = random.Random(23)
+        stimuli = [
+            [
+                [rng.choice([0, 1, 2] if window == 0 else [0, 1])
+                 for _ in circuit.inputs]
+                for _ in range(30)
+            ]
+            for window in range(3)
+        ]
+        outcomes = {}
+        for backend in ("python", "vector"):
+            monkeypatch.setenv("REPRO_SIM_BACKEND", backend)
+            assert FaultSimulator(circuit).backend == backend
+            dictionary = FaultDictionary.build(circuit, stimuli[0], faults)
+            outcomes[backend] = (
+                [dictionary.syndrome(f) for f in dictionary.faults],
+                [
+                    signature_coverage(circuit, stimuli, faults, misr_width=w)
+                    for w in (2, 8)
+                ],
+            )
+        assert outcomes["python"] == outcomes["vector"]
+        narrow = outcomes["vector"][1][0]
+        # The short register exercises every verdict but "undetected".
+        assert narrow.detected and narrow.aliased and narrow.unknown

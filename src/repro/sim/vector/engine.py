@@ -85,6 +85,8 @@ class VectorEngine:
         early_stop: bool = True,
     ) -> Tuple[Dict[Fault, int], Dict[Fault, Set[str]]]:
         """One stimulus against all ``faults``; returns (detection, lines)."""
+        if not faults:
+            return {}, {}  # the oracle simulates no group, so checks nothing
         prog = self._program(faults)
         kern = IntKernel(prog)
         lane_fault: Tuple[Fault, ...] = prog.faults
@@ -133,8 +135,9 @@ class VectorEngine:
     def _maybe_compact(self, kern: IntKernel, lane_fault: Tuple[Fault, ...]):
         """Repack surviving lanes into fewer words once half the words
         can be dropped.  The halving threshold bounds rebuilds per run
-        to ``log2(words)`` — each rebuild recompiles the program, so
-        rebuilding on every dropped word costs more than it saves."""
+        to ``log2(words)`` — each rebuild builds a new program and
+        compiles it unless its force layout is still in the step memo,
+        so rebuilding on every dropped word costs more than it saves."""
         survivors_n = _popcount(kern.active)
         need = -(-(survivors_n + 1) // WORD_BITS)
         if need > kern.words_per_block // 2:
@@ -223,6 +226,8 @@ class VectorEngine:
         early_stop: bool = True,
     ) -> List[Dict[Fault, int]]:
         """Whole-sequence detection times, one dict per stimulus."""
+        if not faults:
+            return [{} for _ in stimuli]
         out: List[Dict[Fault, int]] = []
         for start in range(0, len(stimuli), MAX_BLOCKS):
             out.extend(
@@ -307,6 +312,8 @@ class VectorIncremental:
         ]
 
     def step(self, pattern: Sequence[Value]) -> List[Fault]:
+        if not self._lane_fault:
+            return []  # the oracle has no group left to step
         pat = _check_pattern(pattern, self._n_pi)
         det = self._kern.step([pat])
         newly: List[Fault] = []
@@ -317,6 +324,8 @@ class VectorIncremental:
         return newly
 
     def peek(self, pattern: Sequence[Value]) -> int:
+        if not self._lane_fault:
+            return 0
         pat = _check_pattern(pattern, self._n_pi)
         snap = self._kern.snapshot()
         det = self._kern.step([pat])

@@ -9,12 +9,20 @@ machine; lane ``l`` is ``program.faults[l - 1]``.  Blocks never interact
 
 The kernel compiles :attr:`VectorProgram.flat_ops` — the oracle's own
 topological order — into one straight-line generated function, with
-branch faults applied as ephemeral pin forces inside the gate fold,
-exactly like ``_GroupSim._eval_with_pin_forces``.
+PI/flip-flop load forces written at its top and branch faults applied
+as ephemeral pin forces inside the gate fold, exactly like
+``_GroupSim._eval_with_pin_forces``.  The generated text depends only
+on the program's force layout, and its force masks are read from a
+per-kernel list, so one compiled function serves every fault list
+with the same layout: :func:`_step_function` keeps the last
+:data:`STEP_MEMO_SIZE` of them per process, keyed by the source text.
 
 Detection and state capture replicate the oracle bit for bit:
 
-* forces apply as ``o = (o | f1) & ~f0``, ``z = (z | f0) & ~f1``;
+* forces apply as ``o = (o | f1) & ~f0``, ``z = (z | f0) & ~f1``; the
+  generated code writes only the polarities a site carries (``o | f1``,
+  ``z & ~f1`` for stuck-at-1 lanes alone), which is the same value
+  because the absent mask is zero;
 * detection happens *before* state capture, only while ``active`` is
   non-zero, and uses the conservative binary-good/binary-complement
   criterion per primary output;
@@ -25,7 +33,8 @@ Detection and state capture replicate the oracle bit for bit:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+import functools
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.sim.compile import gate_source
 from repro.sim.values import V0, V1
@@ -35,26 +44,63 @@ WORD_BITS = 64
 """Lanes per machine word.  Lane 0 of each block is the good machine;
 blocks are padded to a whole number of words."""
 
+STEP_MEMO_SIZE = 8
+"""Compiled step functions kept per process (least recently used
+evicted).  Static compaction's repeated survivor layouts fit in a few
+entries; a larger memo keeps more compiled code resident for few extra
+reuses (64 entries: +12% peak RSS on a g208 flow, no faster)."""
 
-def _compile_int_step(program: VectorProgram):
-    """Generate the unrolled gate-evaluation function for ``program``.
+
+def _forced(
+    o: str, z: str, f0: int, f1: int, m: Callable[..., str]
+) -> Tuple[str, str]:
+    """Force expressions for one site's ``(ones, zeros)`` operands.
+
+    Only the polarities the site carries are written: stuck-at-1 lanes
+    give ``o|f1``, ``z&~f1``; stuck-at-0 lanes give ``o&~f0``,
+    ``z|f0``; a site with both keeps the oracle's pair.  ``o`` and
+    ``z`` must be atoms or parenthesized.  ``m(value, negate=False)``
+    records a mask and returns the name it is read by.
+    """
+    if f0 and f1:
+        return (
+            f"(({o}|{m(f1)})&{m(f0, True)})",
+            f"(({z}|{m(f0)})&{m(f1, True)})",
+        )
+    if f1:
+        return f"({o}|{m(f1)})", f"({z}&{m(f1, True)})"
+    return f"({o}&{m(f0, True)})", f"({z}|{m(f0)})"
+
+
+def _step_source(program: VectorProgram) -> Tuple[str, Tuple[Tuple[int, bool], ...]]:
+    """Generate the unrolled step source for ``program``.
 
     One straight-line Python function with constant row indices replaces
     the interpreted op loop — no per-op tuple unpacking or opcode
     dispatch, which dominates the cost once the big-int arithmetic
-    itself is only a few machine words wide.  Returns
-    ``(step_ops, mask_plan)``; the kernel materializes ``M[i]`` from the
-    plan as the replicated force mask (``f0``/``f1``) or the complement
-    of the replicated mask (``nf0``/``nf1``), so the generated source is
-    independent of block count and is cached on the program.
-    """
-    masks = []
+    itself is only a few machine words wide.  It first forces the
+    already loaded PI and flip-flop rows, then evaluates every gate with
+    its pin and stem forces.
 
-    def m(kind: str, value: int) -> str:
-        masks.append((kind, value))
+    Returns ``(source, mask_plan)``.  The source names each force mask
+    ``M[i]``; the kernel materializes ``M[i]`` from ``mask_plan[i] =
+    (value, negate)`` as the block-replicated ``value``, complemented
+    when ``negate``.  So the source depends only on the force *layout*
+    (which rows and pins carry which polarities) — never on the lanes
+    or the block count — and fault lists sharing a layout share one
+    compiled function (:func:`_step_function`).
+    """
+    masks: List[Tuple[int, bool]] = []
+
+    def m(value: int, negate: bool = False) -> str:
+        masks.append((value, negate))
         return f"M[{len(masks) - 1}]"
 
     lines = ["def _step_ops(O, Z, M):"]
+    for row, f0, f1 in program.load_forces:
+        oexpr, zexpr = _forced(f"O[{row}]", f"Z[{row}]", f0, f1, m)
+        lines.append(f" O[{row}] = {oexpr}")
+        lines.append(f" Z[{row}] = {zexpr}")
     for opcode, out, fanins, stem, pf in program.flat_ops:
         fo = []
         fz = []
@@ -62,23 +108,32 @@ def _compile_int_step(program: VectorProgram):
             oe = f"O[{f}]"
             ze = f"Z[{f}]"
             if pf is not None and k in pf:
-                f0, f1 = pf[k]
-                oe = f"(({oe}|{m('f1', f1)})&{m('nf0', f0)})"
-                ze = f"(({ze}|{m('f0', f0)})&{m('nf1', f1)})"
+                oe, ze = _forced(oe, ze, *pf[k], m)
             fo.append(oe)
             fz.append(ze)
         statements, oexpr, zexpr = gate_source(opcode, fo, fz)
         lines.extend(" " + statement for statement in statements)
         if stem is not None:
-            f0, f1 = stem
-            oexpr = f"(({oexpr})|{m('f1', f1)})&{m('nf0', f0)}"
-            zexpr = f"(({zexpr})|{m('f0', f0)})&{m('nf1', f1)}"
+            oexpr, zexpr = _forced(f"({oexpr})", f"({zexpr})", *stem, m)
         lines.append(f" O[{out}] = {oexpr}")
         lines.append(f" Z[{out}] = {zexpr}")
     lines.append(" pass")
+    return "\n".join(lines), tuple(masks)
+
+
+@functools.lru_cache(maxsize=STEP_MEMO_SIZE)
+def _step_function(source: str):
+    """Compile generated step ``source`` once per process.
+
+    Keyed by the source text, so every program, engine, simulator and
+    pool worker in the process reuses a function whose force layout it
+    has already compiled (static compaction rebuilds the same survivor
+    layouts many times).  The memo holds code only; mask values stay
+    per kernel.
+    """
     namespace: dict = {}
-    exec(compile("\n".join(lines), "<vector-int-step>", "exec"), namespace)
-    return namespace["_step_ops"], tuple(masks)
+    exec(compile(source, "<vector-int-step>", "exec"), namespace)
+    return namespace["_step_ops"]
 
 
 class IntKernel:
@@ -101,17 +156,13 @@ class IntKernel:
         self.active = self.fault_lanes
 
         rep = self._replicate
-        self._load_forces = [
-            (row, rep(f0), rep(f1)) for row, f0, f1 in program.load_forces
-        ]
-        cached = program.codegen_cache.get("int_step")
-        if cached is None:
-            cached = _compile_int_step(program)
-            program.codegen_cache["int_step"] = cached
-        self._step_ops, mask_plan = cached
+        if program.step_code is None:
+            program.step_code = _step_source(program)
+        source, mask_plan = program.step_code
+        self._step_ops = _step_function(source)
         self._M = [
-            ~rep(value) if kind in ("nf0", "nf1") else rep(value)
-            for kind, value in mask_plan
+            ~rep(value) if negate else rep(value)
+            for value, negate in mask_plan
         ]
         self._ff_capture = {
             slot: (rep(f0), rep(f1))
@@ -212,10 +263,6 @@ class IntKernel:
             O[idx], Z[idx] = 0, full
         for idx in prog.const1_rows:
             O[idx], Z[idx] = full, 0
-        for row, f0, f1 in self._load_forces:
-            o, z = O[row], Z[row]
-            O[row] = (o | f1) & ~f0
-            Z[row] = (z | f0) & ~f1
 
         self._step_ops(O, Z, self._M)
 

@@ -17,11 +17,18 @@ The schedule, :attr:`VectorProgram.flat_ops`, is the oracle's
 topological op order with per-op stem/pin forces (same shape as
 ``_GroupSim._ops``, so the kernel's evaluation is a line-for-line
 mirror).
+
+A force is a pair of lane masks ``(f0, f1)``, one per stuck value.
+Which rows and pins carry a non-zero ``f0`` or ``f1`` is the program's
+*force layout*.  The kernel's generated step code depends on the
+layout alone and lane numbers live only in the mask values, so the
+same faults in another order, or a program rebuilt for the same
+survivors, run the same compiled code.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.compile import CompiledCircuit
 from repro.sim.faults import Fault
@@ -44,7 +51,7 @@ class VectorProgram:
         "ff_next_rows",
         "const0_rows",
         "const1_rows",
-        "codegen_cache",
+        "step_code",
     )
 
     def __init__(self, comp: CompiledCircuit, faults: Tuple[Fault, ...]) -> None:
@@ -62,8 +69,9 @@ class VectorProgram:
         self.flat_ops: Tuple = ()
         self.load_forces: Tuple[Tuple[int, int, int], ...] = ()
         self.ff_capture: Dict[int, Tuple[int, int]] = {}
-        # Compiled-step cache, shared by all kernels of this program.
-        self.codegen_cache: Dict = {}
+        # (source, mask_plan) of the generated step: filled by the first
+        # kernel built on this program and shared by the rest.
+        self.step_code: Optional[Tuple[str, Tuple[Tuple[int, bool], ...]]] = None
 
 
 def build_program(

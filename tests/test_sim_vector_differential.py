@@ -6,8 +6,9 @@ detection times, same recorded discrepancy lines, for every circuit,
 fault list and ternary stimulus.  These tests enforce that contract —
 by hypothesis over random synthetic circuits, over the bundled
 ``.bench`` fixtures and library circuits, with pruned configurations,
-at the word-width boundaries of the lane packing, and for the consumers
-of :meth:`FaultSimulator.output_responses` (MISR grading and fault
+at the word-width boundaries of the lane packing, for fault lists that
+share one compiled step function, and for the consumers of
+:meth:`FaultSimulator.output_responses` (MISR grading and fault
 dictionaries).
 """
 
@@ -23,16 +24,24 @@ from repro.circuit import parse_bench
 from repro.circuit.library import load_circuit
 from repro.circuit.synth import SynthSpec, synthesize
 from repro.diag import FaultDictionary
+from repro.errors import SimulationError
 from repro.hw import signature_coverage
 from repro.sim import (
     VX,
     FaultSimulator,
     IncrementalFaultSimulator,
     LogicSimulator,
+    collapse_faults,
+    compile_circuit,
 )
 from repro.sim.faults import FaultPruner, all_faults
 from repro.sim.faultsim import GROUP_FAULTS
-from repro.sim.vector import WORD_BITS
+from repro.sim.vector import WORD_BITS, build_program
+from repro.sim.vector.kernels import (
+    STEP_MEMO_SIZE,
+    _step_function,
+    _step_source,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -50,6 +59,14 @@ def _assert_same_result(a, b, context=""):
     assert a.undetected == b.undetected, context
     assert a.n_faults == b.n_faults, context
     assert a.lines == b.lines, context
+
+
+def _outcome(call):
+    """``call()``'s value, or the message of the SimulationError it raised."""
+    try:
+        return "ok", call()
+    except SimulationError as exc:
+        return "error", str(exc)
 
 
 def _run_both(circuit, stimulus, faults, **kw):
@@ -293,6 +310,8 @@ class TestWordBoundaries:
         _assert_same_result(oracle, vector)
 
     def test_zero_faults(self):
+        """With no fault to simulate the oracle steps nothing, so it
+        never checks the stimulus; the vector backend must agree."""
         circuit = load_circuit("s27")
         result = FaultSimulator(circuit, backend="vector").run(
             [[0, 1, 0, 1]], []
@@ -300,6 +319,55 @@ class TestWordBoundaries:
         assert result.n_faults == 0
         assert result.detection_time == {}
         assert result.undetected == ()
+        # A walk that detects one fault: after regroup no group is left.
+        rng = random.Random(7)
+        walk = [[rng.randint(0, 1) for _ in circuit.inputs] for _ in range(8)]
+        first = FaultSimulator(circuit, backend="python").run(
+            walk, all_faults(circuit)
+        )
+        lone = first.detected[0]
+        walk = walk[: first.detection_time[lone] + 1]
+        # Every fault of this list is certified untestable.
+        defects = parse_bench(FIXTURES / "defects.bench")
+        pruner = FaultPruner(defects)
+        _, pruned = pruner.split(all_faults(defects))
+        assert pruned
+
+        def calls(backend, bad):
+            stimulus = [[0, 1, 0, 1], bad]
+            sim = FaultSimulator(circuit, backend=backend)
+            pruned_sim = FaultSimulator(defects, pruner=pruner, backend=backend)
+
+            def incremental(faults, prefix, op):
+                inc = IncrementalFaultSimulator(circuit, faults, backend=backend)
+                for pattern in prefix:
+                    inc.step(pattern)
+                inc.regroup()
+                return getattr(inc, op)(bad)
+
+            return [
+                _outcome(lambda: sim.run(stimulus, [])),
+                _outcome(lambda: sim.run(stimulus, [], record_lines=True)),
+                _outcome(lambda: sim.run(
+                    stimulus, [], stop_when_all_detected=False)),
+                _outcome(lambda: sim.run_batch([stimulus, [bad]], [])),
+                _outcome(lambda: sim.run_batch(
+                    [stimulus, [bad]], [], stop_when_all_detected=False)),
+                _outcome(lambda: sim.detects_any(stimulus, [])),
+                _outcome(lambda: sim.detects_any_batch([stimulus, [bad]], [])),
+                _outcome(lambda: pruned_sim.run([bad[:3]] * 2, pruned)),
+                _outcome(lambda: pruned_sim.run_batch(
+                    [[bad[:3]], [bad[:2]]], pruned)),
+                _outcome(lambda: incremental([], [], "step")),
+                _outcome(lambda: incremental([], [], "peek")),
+                _outcome(lambda: incremental([lone], walk, "step")),
+                _outcome(lambda: incremental([lone], walk, "peek")),
+            ]
+
+        for bad in ([0, 1, 0], [0, 1, 0, 7]):  # wrong width, bad value
+            oracle = calls("python", bad)
+            assert all(kind == "ok" for kind, _ in oracle), bad
+            assert calls("vector", bad) == oracle, bad
 
     def test_empty_stimulus(self):
         circuit = load_circuit("s27")
@@ -351,6 +419,107 @@ class TestIncrementalPartialDetection:
             hits += verdict
             misses += not verdict
         assert hits and misses  # both answers exercised
+
+
+class TestStepMemo:
+    """Compiled step code is shared by force layout; masks stay per kernel."""
+
+    def test_layout_reuse_is_mask_safe(self):
+        """A fault list and its reverse have one layout but different
+        lanes: the second run reuses the first one's compiled step with
+        its own masks and still matches the oracle."""
+        circuit = load_circuit("g208")
+        faults = collapse_faults(circuit)
+        rng = random.Random(29)
+        stimulus = _random_stimulus(rng, len(circuit.inputs), 30)
+        _step_function.cache_clear()
+        for fault_list in (faults, faults[::-1]):
+            before = _step_function.cache_info()
+            oracle, vector = _run_both(
+                circuit, stimulus, fault_list, stop_when_all_detected=False
+            )
+            _assert_same_result(oracle, vector)
+        assert _step_function.cache_info().hits > before.hits
+        assert _step_function.cache_info().misses == before.misses == 1
+        # With fault dropping, compaction rebuilds run on the memo too.
+        for fault_list in (faults, faults[::-1]):
+            _assert_same_result(*_run_both(circuit, stimulus, fault_list))
+
+    @pytest.mark.parametrize("name", ["s27", "g208"])
+    @pytest.mark.parametrize("polarity", ["sa0", "sa1", "both"])
+    def test_single_polarity_sites(self, name, polarity):
+        circuit = load_circuit(name)
+        faults = [
+            f for f in all_faults(circuit)
+            if polarity == "both" or f.stuck == int(polarity[-1])
+        ]
+        rng = random.Random(len(faults))
+        n_pi = len(circuit.inputs)
+        stimuli = [_random_stimulus(rng, n_pi, 24) for _ in range(3)]
+        stimuli[0] = stimuli[0] or [[0] * n_pi]
+        oracle = FaultSimulator(circuit, backend="python")
+        vector = FaultSimulator(circuit, backend="vector")
+        for kw in ({}, {"record_lines": True, "stop_when_all_detected": False}):
+            _assert_same_result(
+                oracle.run(stimuli[0], faults, **kw),
+                vector.run(stimuli[0], faults, **kw),
+                f"{name} {polarity} {kw}",
+            )
+        for early in (True, False):
+            for a, b in zip(
+                oracle.run_batch(stimuli, faults, stop_when_all_detected=early),
+                vector.run_batch(stimuli, faults, stop_when_all_detected=early),
+            ):
+                _assert_same_result(a, b, f"{name} {polarity} batch")
+        assert oracle.detects_any_batch(
+            stimuli, faults
+        ) == vector.detects_any_batch(stimuli, faults)
+        assert oracle.output_responses(
+            stimuli[0], faults
+        ) == vector.output_responses(stimuli[0], faults)
+        inc_py = IncrementalFaultSimulator(circuit, faults, backend="python")
+        inc_vec = IncrementalFaultSimulator(circuit, faults, backend="vector")
+        for u, pattern in enumerate(stimuli[0]):
+            assert inc_py.peek(pattern) == inc_vec.peek(pattern)
+            assert inc_py.step(pattern) == inc_vec.step(pattern)
+            if u % 5 == 4:
+                inc_py.regroup()
+                inc_vec.regroup()
+            assert inc_py.remaining_faults() == inc_vec.remaining_faults()
+
+    @pytest.mark.parametrize("name", ["s27", "g208"])
+    def test_sites_emit_only_their_polarities(self, name):
+        """Every site carries both polarities in the full list, so its
+        step needs as many masks as the two one-polarity lists together."""
+        circuit = load_circuit(name)
+        comp = compile_circuit(circuit)
+        flop_pos = {net: i for i, net in enumerate(circuit.flops)}
+        faults = all_faults(circuit)
+        plans = {
+            polarity: _step_source(build_program(comp, flop_pos, [
+                f for f in faults if polarity is None or f.stuck == polarity
+            ]))[1]
+            for polarity in (0, 1, None)
+        }
+        assert len(plans[0]) == len(plans[1]) > 0
+        assert len(plans[None]) == len(plans[0]) + len(plans[1])
+        assert all(negate for _, negate in plans[1][1::2])
+        assert all(negate for _, negate in plans[0][0::2])
+
+    def test_memo_is_bounded(self):
+        circuit = load_circuit("s27")
+        faults = all_faults(circuit)
+        assert len(faults) > STEP_MEMO_SIZE
+        stimulus = [[0, 1, 0, 1], [1, 1, 0, 0]]
+        sim = FaultSimulator(circuit, backend="vector")
+        _step_function.cache_clear()
+        for fault in faults:  # a site and polarity per layout
+            sim.run(stimulus, [fault], stop_when_all_detected=False)
+            assert _step_function.cache_info().currsize <= STEP_MEMO_SIZE
+        info = _step_function.cache_info()
+        assert info.maxsize == STEP_MEMO_SIZE
+        assert info.misses > 2 * STEP_MEMO_SIZE
+        assert info.currsize == STEP_MEMO_SIZE
 
 
 class TestResponseConsumers:

@@ -146,8 +146,14 @@ def synthesize(spec: SynthSpec) -> Circuit:
         used.add(d_net)
 
     # Primary outputs: distinct late gates not already next-state taps
-    # when possible.
+    # when possible.  With too few of them, widen to every gate that is
+    # not a next-state tap, then to every gate: ``n_gates >= n_po``, so
+    # each output is a distinct net (the netlist rejects a repeat).
     po_candidates = [g for g in gate_names[half:] if g not in used] or gate_names
+    if len(po_candidates) < spec.n_po:
+        po_candidates = [g for g in gate_names if g not in used]
+        if len(po_candidates) < spec.n_po:
+            po_candidates = gate_names
     po_taps = _distinct_taps(po_candidates, spec.n_po, rng)
     for tap in po_taps:
         used.add(tap)

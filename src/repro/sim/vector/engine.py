@@ -19,7 +19,19 @@ Semantics are defined by the pure-Python oracle; everything here is
   single-stimulus run compacts surviving lanes into fewer words when
   enough faults have been detected (the vectorized analogue of
   ``IncrementalFaultSimulator.regroup`` — behaviourally invisible
-  because every surviving machine's flip-flop state is preserved).
+  because every surviving machine's flip-flop state is preserved);
+* periodic early-out: a weighted sequence repeats with the period
+  ``P`` of its patterns, so ``run``, screens and batched runs also stop
+  a block once its state at a multiple of ``P`` repeats an earlier one
+  (:class:`_Checkpoint`).  The stop is exact.  A synchronous machine's
+  next state is a function of its state and its input, and from the
+  repeat on the input replays too, so the run would replay the stretch
+  between the two checkpoints forever; that stretch left the active
+  mask unchanged, so it detected nothing.  With line recording the
+  state is that of every lane, because detected faults still record
+  lines.  Every pattern a stop skips equals one already validated, so
+  errors surface exactly where the oracle raises them.  ``po_trace``
+  and :class:`VectorIncremental` step every pattern they are given.
 """
 
 from __future__ import annotations
@@ -54,6 +66,102 @@ def _check_pattern(pattern: Sequence[Value], n_pi: int) -> Tuple[Value, ...]:
 
 def _popcount(mask: int) -> int:
     return bin(mask).count("1")
+
+
+def _period(stimulus: Sequence[Sequence[Value]]) -> int:
+    """Smallest ``p`` with ``stimulus[u] == stimulus[u + p]`` for every
+    ``u + p < len(stimulus)``; the length itself when aperiodic.
+
+    The length minus the longest proper border, from the prefix function
+    over the rows (Knuth–Morris–Pratt, O(length)).  A row that is not
+    iterable makes the stimulus aperiodic, so validation meets it where
+    the oracle does.
+    """
+    try:
+        rows = [tuple(p) for p in stimulus]
+    except TypeError:
+        return len(stimulus)
+    border = [0] * len(rows)
+    k = 0
+    for i in range(1, len(rows)):
+        row = rows[i]
+        while k and row != rows[k]:
+            k = border[k - 1]
+        if row == rows[k]:
+            k += 1
+        border[i] = k
+    return len(rows) - k
+
+
+class _Checkpoint:
+    """Periodic-repeat detector for one block of a kernel.
+
+    :meth:`repeated` is asked before every cycle ``u``; it looks only at
+    multiples of the block's stimulus ``period``.  The first one saves
+    the block's state: its active mask and its flip-flop words.  Later
+    ones compare against the save, which is renewed whenever the checks
+    since it reach a power of two (Brent), so one saved state finds any
+    repeat of the eventually periodic checkpoint sequence.  Words are
+    compared on the block's active lanes and good lane only, or on
+    every lane with ``all_lanes`` (line recording).  A stimulus whose
+    period is its length has one checkpoint and never repeats.
+    """
+
+    __slots__ = (
+        "kern", "period", "fault_mask", "good", "all_lanes",
+        "active", "s_o", "s_z", "age", "span",
+    )
+
+    def __init__(
+        self, kern: IntKernel, period: int, block: int = 0,
+        all_lanes: bool = False,
+    ) -> None:
+        self.kern = kern
+        self.period = period
+        self.fault_mask = kern.block_fault_mask(block)
+        self.good = 1 << (block * kern.block_bits)
+        self.all_lanes = all_lanes
+        self.active: Optional[int] = None
+        self.s_o: List[int] = []
+        self.s_z: List[int] = []
+        self.age = 0
+        self.span = 1
+
+    def _save(self, active: int) -> None:
+        self.active = active
+        self.s_o = list(self.kern.S_O)
+        self.s_z = list(self.kern.S_Z)
+        self.age = 0
+
+    def repeated(self, u: int) -> bool:
+        """True iff the state before cycle ``u`` repeats the saved one."""
+        if u % self.period:
+            return False
+        kern = self.kern
+        active = kern.active & self.fault_mask
+        if self.active is None:
+            self._save(active)
+            return False
+        if active == self.active:
+            keep = -1 if self.all_lanes else active | self.good
+            if _agree(kern.S_O, self.s_o, keep) and _agree(
+                kern.S_Z, self.s_z, keep
+            ):
+                return True
+        self.age += 1
+        if self.age == self.span:
+            self.span *= 2
+            self._save(active)
+        return False
+
+
+def _agree(now: Sequence[int], then: Sequence[int], keep: int) -> bool:
+    """Do the words agree on every lane of ``keep``?  Stops at the
+    first word that differs."""
+    for a, b in zip(now, then):
+        if (a ^ b) & keep:
+            return False
+    return True
 
 
 class VectorEngine:
@@ -96,7 +204,11 @@ class VectorEngine:
             {f: set() for f in faults} if record_lines else {}
         )
         n_pi = self._n_pi
+        period = _period(stimulus)
+        check = _Checkpoint(kern, period, all_lanes=record_lines)
         for u, pattern in enumerate(stimulus):
+            if check.repeated(u):
+                break
             pat = _check_pattern(pattern, n_pi)
             det = kern.step([pat])
             while det:
@@ -113,7 +225,11 @@ class VectorEngine:
             if early_stop:
                 if not kern.active:
                     break
-                kern, lane_fault = self._maybe_compact(kern, lane_fault)
+                compacted, lane_fault = self._maybe_compact(kern, lane_fault)
+                if compacted is not kern:
+                    # Lanes moved: start over from a fresh checkpoint.
+                    kern = compacted
+                    check = _Checkpoint(kern, period, all_lanes=record_lines)
         return detection, lines
 
     def po_trace(
@@ -190,6 +306,7 @@ class VectorEngine:
         kern = IntKernel(prog, n_blocks)
         lens = [len(s) for s in chunk]
         done = [length == 0 for length in lens]
+        checks = [_Checkpoint(kern, _period(s), b) for b, s in enumerate(chunk)]
         verdicts = [False] * n_blocks
         n_pi = self._n_pi
         for b, is_done in enumerate(done):
@@ -202,7 +319,8 @@ class VectorEngine:
             for b, s in enumerate(chunk):
                 if done[b]:
                     patterns.append(None)
-                elif u >= lens[b]:
+                elif u >= lens[b] or checks[b].repeated(u):
+                    # Over, or repeating with nothing detected: negative.
                     done[b] = True
                     kern.deactivate(kern.block_fault_mask(b))
                     patterns.append(None)
@@ -249,6 +367,7 @@ class VectorEngine:
         lane_fault = prog.faults
         lens = [len(s) for s in chunk]
         done = [length == 0 for length in lens]
+        checks = [_Checkpoint(kern, _period(s), b) for b, s in enumerate(chunk)]
         detections: List[Dict[Fault, int]] = [dict() for _ in range(n_blocks)]
         n_pi = self._n_pi
         bb = kern.block_bits
@@ -260,9 +379,10 @@ class VectorEngine:
             for b, s in enumerate(chunk):
                 if done[b]:
                     patterns.append(None)
-                elif u >= lens[b]:
-                    # The block's stimulus is over: silence its lanes so
-                    # later cycles (driven by other blocks) cannot record
+                elif u >= lens[b] or checks[b].repeated(u):
+                    # The block's stimulus is over, or it repeats and can
+                    # detect nothing more: silence its lanes so later
+                    # cycles (driven by other blocks) cannot record
                     # detections past its length.
                     done[b] = True
                     kern.deactivate(kern.block_fault_mask(b))

@@ -29,6 +29,13 @@ Detection and state capture replicate the oracle bit for bit:
 * padding lanes (and lanes past the fault count) carry an extra copy of
   the good machine — they are force-free and masked out of detection
   and discrepancy reads, so they can never influence a result.
+
+Between steps, :attr:`IntKernel.active` and the flip-flop words
+:attr:`IntKernel.S_O` / :attr:`IntKernel.S_Z` are the whole state of
+every lane: the next cycle is a function of them and the next pattern
+alone.  That is what makes the engine's periodic stop exact — it
+compares these words at multiples of the stimulus period and stops a
+block whose state repeats (see :mod:`repro.sim.vector.engine`).
 """
 
 from __future__ import annotations

@@ -3,7 +3,10 @@ library, and circuit statistics."""
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.circuit import (
     CircuitBuilder,
@@ -11,6 +14,7 @@ from repro.circuit import (
     circuit_stats,
     load_circuit,
 )
+from repro.circuit.bench import write_bench
 from repro.circuit.gates import GateType
 from repro.circuit.library import synth_spec
 from repro.circuit.stats import feedback_flops
@@ -55,6 +59,27 @@ class TestBuilder:
         assert circuit.gate("y").fanins == ("later",)
 
 
+#: Leading hex digits of the SHA-256 of each library circuit's
+#: ``write_bench`` text.
+LIBRARY_BENCH_SHA256 = {
+    "s27": "edfce515c1a1b73f",
+    "g208": "ef6695941ba4f7d6",
+    "g298": "d94493615c1ee162",
+    "g344": "157ce1cbe84fa327",
+    "g382": "7b445824df7917a9",
+    "g386": "536cf78b37a1205f",
+    "g400": "4797224ddc09b416",
+    "g420": "9186b063d2eb0cf0",
+    "g444": "bee7d1869f327984",
+    "g526": "beec7e99bcb708bd",
+    "g641": "b8db6ca918a71f3e",
+    "g820": "d0b917bfb503612f",
+    "g1196": "a52b43292797a5f4",
+    "g1423": "cd2a3e6438e72500",
+    "g1488": "cfe6a01f52b0195a",
+}
+
+
 class TestSynth:
     def test_deterministic(self):
         spec = SynthSpec("t", n_pi=4, n_po=2, n_ff=3, n_gates=30, seed=5)
@@ -93,6 +118,35 @@ class TestSynth:
             synthesize(SynthSpec("t", n_pi=0, n_po=1, n_ff=1, n_gates=10))
         with pytest.raises(ValueError):
             synthesize(SynthSpec("t", n_pi=2, n_po=5, n_ff=1, n_gates=2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_pi=st.integers(min_value=1, max_value=4),
+        n_po=st.integers(min_value=1, max_value=6),
+        n_ff=st.integers(min_value=0, max_value=8),
+        n_gates=st.integers(min_value=2, max_value=12),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    # Two outputs, one late gate left after the flip-flop tap: the taps
+    # widen to earlier gates instead of repeating one, which the
+    # netlist rejects as a primary output listed twice.
+    @example(n_pi=3, n_po=2, n_ff=1, n_gates=3, seed=1)
+    def test_every_valid_spec_builds(self, n_pi, n_po, n_ff, n_gates, seed):
+        n_gates = max(n_gates, n_po, n_ff)
+        circuit = synthesize(SynthSpec("x", n_pi, n_po, n_ff, n_gates, seed))
+        assert len(set(circuit.outputs)) == len(circuit.outputs)
+        assert len([n for n in circuit.outputs if n.startswith("n")]) == n_po
+
+    def test_library_netlists_unchanged(self):
+        """Every library stand-in keeps its exact netlist text: output
+        taps widen past the late gates only for specs with too few."""
+        digests = {
+            name: hashlib.sha256(
+                write_bench(load_circuit(name)).encode()
+            ).hexdigest()[:16]
+            for name in available_circuits()
+        }
+        assert digests == LIBRARY_BENCH_SHA256
 
 
 class TestLibrary:

@@ -7,9 +7,10 @@ fault list and ternary stimulus.  These tests enforce that contract —
 by hypothesis over random synthetic circuits, over the bundled
 ``.bench`` fixtures and library circuits, with pruned configurations,
 at the word-width boundaries of the lane packing, for fault lists that
-share one compiled step function, and for the consumers of
+share one compiled step function, for the consumers of
 :meth:`FaultSimulator.output_responses` (MISR grading and fault
-dictionaries).
+dictionaries), and for periodic (weighted) stimuli, which the vector
+engine stops simulating once their state repeats.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 from repro.circuit import parse_bench
 from repro.circuit.library import load_circuit
 from repro.circuit.synth import SynthSpec, synthesize
+from repro.core.assignment import WeightAssignment
 from repro.diag import FaultDictionary
 from repro.errors import SimulationError
 from repro.hw import signature_coverage
@@ -37,11 +39,14 @@ from repro.sim import (
 from repro.sim.faults import FaultPruner, all_faults
 from repro.sim.faultsim import GROUP_FAULTS
 from repro.sim.vector import WORD_BITS, build_program
+from repro.sim.vector.engine import VectorEngine
 from repro.sim.vector.kernels import (
     STEP_MEMO_SIZE,
+    IntKernel,
     _step_function,
     _step_source,
 )
+from repro.tgen.random_tgen import generate_test_sequence
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -125,9 +130,7 @@ class TestRandomCircuits:
     def test_output_responses_agree(
         self, seed, n_pi, n_po, n_ff, n_gates, stim_seed
     ):
-        # Enough late gates for distinct PO taps (the synthesizer
-        # repeats a tap, which the netlist rejects, when it runs out).
-        n_gates = max(n_gates, 2 * (n_ff + n_po))
+        n_gates = max(n_gates, n_ff, n_po)
         circuit = synthesize(
             SynthSpec("hyp", n_pi, n_po, n_ff, n_gates, seed=seed)
         )
@@ -554,3 +557,266 @@ class TestResponseConsumers:
         narrow = outcomes["vector"][1][0]
         # The short register exercises every verdict but "undetected".
         assert narrow.detected and narrow.aliased and narrow.unknown
+
+
+# -- periodic stimuli ---------------------------------------------------------
+
+
+def _weighted_stimulus(rng, n_pi, length, period, ternary=False):
+    """A weighted sequence: input ``i`` repeats its own random
+    subsequence from phase 0.  Each subsequence length divides
+    ``period``, so the stimulus period divides it too."""
+    alphabet = [0, 1, 2] if ternary else [0, 1]
+    divisors = [d for d in range(1, period + 1) if period % d == 0]
+    subsequences = [
+        [rng.choice(alphabet) for _ in range(rng.choice(divisors))]
+        for _ in range(n_pi)
+    ]
+    return [
+        [alpha[u % len(alpha)] for alpha in subsequences]
+        for u in range(length)
+    ]
+
+
+def _periodic_stimuli(rng, n_pi, length, period, kind):
+    """Three stimuli of one ``kind``, of different lengths up to
+    ``length``: weighted with periods dividing ``period``, behind an
+    aperiodic binary or an X prefix, or aperiodic."""
+    if kind == "aperiodic":
+        return [_random_stimulus(rng, n_pi, length) for _ in range(3)]
+    out = []
+    for _ in range(3):
+        size = rng.randint(1, length)
+        stimulus = _weighted_stimulus(
+            rng, n_pi, size, period, ternary=rng.random() < 0.2
+        )
+        if kind != "weighted":
+            value = [0, 1] if kind == "binary-prefix" else [2]
+            prefix = [
+                [rng.choice(value) for _ in range(n_pi)]
+                for _ in range(rng.randint(1, max(1, size // 3)))
+            ]
+            stimulus = prefix + stimulus
+        out.append(stimulus)
+    return out
+
+
+RUN_KWARGS = (
+    {},
+    {"stop_when_all_detected": False},
+    {"record_lines": True},
+    {"record_lines": True, "stop_when_all_detected": False},
+)
+
+
+class TestPeriodicStimuli:
+    """Hypothesis: the vector engine stops a weighted sequence once its
+    state repeats; the oracle steps every pattern.  Every entry point
+    must still agree, errors included."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        n_pi=st.integers(min_value=1, max_value=4),
+        n_po=st.integers(min_value=1, max_value=3),
+        n_ff=st.integers(min_value=0, max_value=5),
+        n_gates=st.integers(min_value=2, max_value=40),
+        stim_seed=st.integers(min_value=0, max_value=10_000),
+        length=st.integers(min_value=1, max_value=60),
+        period=st.integers(min_value=1, max_value=40),
+        kind=st.sampled_from(
+            ["weighted"] * 3 + ["binary-prefix", "x-prefix", "aperiodic"]
+        ),
+    )
+    def test_backends_agree(
+        self, seed, n_pi, n_po, n_ff, n_gates, stim_seed, length,
+        period, kind,
+    ):
+        n_gates = max(n_gates, n_ff, n_po)
+        circuit = synthesize(
+            SynthSpec("hyp", n_pi, n_po, n_ff, n_gates, seed=seed)
+        )
+        # From about eight gates on, more than one word of faults: run()
+        # compacts its lanes mid-run once half of them are detected.
+        faults = all_faults(circuit)
+        rng = random.Random(stim_seed)
+        # Periods from 1 to the whole length: above length / 2 too.
+        stimuli = _periodic_stimuli(
+            rng, n_pi, length, min(period, length), kind
+        )
+        oracle = FaultSimulator(circuit, backend="python")
+        vector = FaultSimulator(circuit, backend="vector")
+        for stimulus in stimuli:
+            for kw in RUN_KWARGS:
+                _assert_same_result(
+                    oracle.run(stimulus, faults, **kw),
+                    vector.run(stimulus, faults, **kw),
+                    f"{kind} {kw}",
+                )
+        for early in (True, False):
+            for a, b in zip(
+                oracle.run_batch(stimuli, faults, stop_when_all_detected=early),
+                vector.run_batch(stimuli, faults, stop_when_all_detected=early),
+            ):
+                _assert_same_result(a, b, f"{kind} batch early={early}")
+        # A sample the first stimulus leaves undetected, plus a fault it
+        # detects when there is one: both verdicts occur across examples.
+        first = oracle.run(stimuli[0], faults)
+        sample = list(first.undetected[:8]) + list(first.detected[:1])
+        verdicts = [oracle.detects_any(s, sample) for s in stimuli]
+        assert [vector.detects_any(s, sample) for s in stimuli] == verdicts
+        assert vector.detects_any_batch(stimuli, sample) == verdicts
+        assert oracle.detects_any_batch(stimuli, sample) == verdicts
+        assert oracle.output_responses(
+            stimuli[0], faults
+        ) == vector.output_responses(stimuli[0], faults)
+        inc_py = IncrementalFaultSimulator(circuit, faults, backend="python")
+        inc_vec = IncrementalFaultSimulator(circuit, faults, backend="vector")
+        for pattern in stimuli[0]:
+            assert inc_py.peek(pattern) == inc_vec.peek(pattern)
+            assert inc_py.step(pattern) == inc_vec.step(pattern)
+        assert inc_py.remaining_faults() == inc_vec.remaining_faults()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        stim_seed=st.integers(min_value=0, max_value=10_000),
+        period=st.integers(min_value=1, max_value=6),
+        repeats=st.integers(min_value=2, max_value=12),
+        inside=st.booleans(),
+    )
+    def test_malformed_pattern_error_parity(
+        self, seed, stim_seed, period, repeats, inside
+    ):
+        """A malformed pattern after a periodic stretch (or inside every
+        period) raises the oracle's error on both backends: the stop
+        only skips patterns equal to ones it has validated."""
+        circuit = synthesize(SynthSpec("hyp", 3, 2, 3, 12, seed=seed))
+        faults = all_faults(circuit)
+        rng = random.Random(stim_seed)
+        n_pi = len(circuit.inputs)
+        block = [[rng.randint(0, 1) for _ in range(n_pi)] for _ in range(period)]
+        for bad in ([0] * (n_pi + 1), [7] * n_pi):
+            if inside:
+                stimulus = (block[:-1] + [bad]) * repeats
+            else:
+                stimulus = block * repeats + [bad]
+            sample = faults[:5]
+
+            def calls(backend):
+                sim = FaultSimulator(circuit, backend=backend)
+                return [
+                    *(
+                        _outcome(lambda kw=kw: sim.run(stimulus, faults, **kw))
+                        for kw in RUN_KWARGS
+                    ),
+                    _outcome(lambda: sim.run_batch([block * repeats, stimulus],
+                                                   faults)),
+                    _outcome(lambda: sim.run_batch(
+                        [stimulus, block], faults,
+                        stop_when_all_detected=False)),
+                    _outcome(lambda: sim.detects_any(stimulus, sample)),
+                    _outcome(lambda: sim.detects_any_batch(
+                        [block * repeats, stimulus], sample)),
+                    _outcome(lambda: sim.output_responses(stimulus, sample)),
+                ]
+
+            oracle = calls("python")
+            assert any(kind == "error" for kind, _ in oracle)
+            assert calls("vector") == oracle, (bad, inside)
+
+
+@pytest.fixture
+def kernel_steps(monkeypatch):
+    """Counts :meth:`IntKernel.step` calls (one per stepped cycle)."""
+    count = [0]
+    step = IntKernel.step
+
+    def counted(self, patterns):
+        count[0] += 1
+        return step(self, patterns)
+
+    monkeypatch.setattr(IntKernel, "step", counted)
+    return count
+
+
+class TestPeriodicStopFires:
+    """The stop cuts a short-period weighted sequence to a few periods,
+    and leaves full-length readers and aperiodic stimuli alone."""
+
+    L_G = 2000
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        circuit = load_circuit("g208")
+        assignment = WeightAssignment.from_strings(
+            ["01", "1", "0", "10", "1", "0", "01", "1", "0", "1"]
+        )
+        t_g = list(assignment.generate(self.L_G).patterns)
+        faults = collapse_faults(circuit)
+        result = FaultSimulator(circuit, backend="vector").run(t_g, faults)
+        assert result.undetected and result.detected
+        return circuit, t_g, faults, result
+
+    def test_negative_screen_stops(self, setup, kernel_steps):
+        circuit, t_g, _, result = setup
+        sample = list(result.undetected[:20])
+        assert FaultSimulator(circuit, backend="python").detects_any(
+            t_g, sample
+        ) is False
+        kernel_steps[0] = 0
+        assert FaultSimulator(circuit, backend="vector").detects_any(
+            t_g, sample
+        ) is False
+        assert 0 < kernel_steps[0] < 100
+
+    def test_line_recording_run_stops(self, setup, kernel_steps):
+        circuit, t_g, _, result = setup
+        faults = list(result.undetected[:30]) + list(result.detected[:30])
+        oracle = FaultSimulator(circuit, backend="python").run(
+            t_g, faults, record_lines=True
+        )
+        kernel_steps[0] = 0
+        vector = FaultSimulator(circuit, backend="vector").run(
+            t_g, faults, record_lines=True
+        )
+        assert kernel_steps[0] < self.L_G
+        _assert_same_result(oracle, vector)
+        assert any(vector.lines[f] for f in result.detected[:30])
+
+    def test_stop_after_lane_compaction(self, setup, kernel_steps, monkeypatch):
+        """Two words of faults, most of them detected: the run compacts
+        its lanes, starts a fresh checkpoint, and still stops."""
+        circuit, t_g, _, result = setup
+        faults = list(result.detected[:70]) + list(result.undetected[:30])
+        compactions = []
+        compact = VectorEngine._maybe_compact
+
+        def counted(self, kern, lane_fault):
+            out = compact(self, kern, lane_fault)
+            if out[0] is not kern:
+                compactions.append(kern)
+            return out
+
+        monkeypatch.setattr(VectorEngine, "_maybe_compact", counted)
+        oracle = FaultSimulator(circuit, backend="python").run(t_g, faults)
+        vector = FaultSimulator(circuit, backend="vector").run(t_g, faults)
+        assert compactions
+        assert kernel_steps[0] < 100
+        _assert_same_result(oracle, vector)
+
+    def test_output_responses_step_every_cycle(self, setup, kernel_steps):
+        circuit, t_g, _, result = setup
+        FaultSimulator(circuit, backend="vector").output_responses(
+            t_g, list(result.undetected[:20])
+        )
+        assert kernel_steps[0] == self.L_G
+
+    def test_aperiodic_sequence_is_never_cut(self, setup, kernel_steps):
+        circuit, _, faults, _ = setup
+        t = list(generate_test_sequence(circuit, faults, seed=1).sequence.patterns)
+        sim = FaultSimulator(circuit, backend="vector")
+        for kw in ({"stop_when_all_detected": False}, {"record_lines": True}):
+            kernel_steps[0] = 0
+            sim.run(t, faults, **kw)
+            assert kernel_steps[0] == len(t), kw

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.metrics import RuntimeStats
@@ -33,12 +33,24 @@ from repro.core.report import Table6Row, build_table6_row
 from repro.errors import ReproError
 from repro.hw.tpg import TpgDesign, synthesize_tpg
 from repro.hw.verify import verify_tpg
+from repro.runtime.cache import cached_phase
+from repro.runtime.keys import (
+    circuit_fingerprint,
+    faults_fingerprint,
+    simulation_key,
+    stimulus_fingerprint,
+)
 from repro.sim.compile import compile_circuit
 from repro.sim.collapse import collapse_faults
-from repro.sim.faults import FaultPruner, PruneReport
+from repro.sim.faults import Fault, FaultPruner, PruneReport, fault_name
 from repro.sim.faultsim import FaultSimulator
 from repro.tgen.compaction import CompactionResult, compact_sequence
-from repro.tgen.random_tgen import GeneratedTest, generate_test_sequence
+from repro.tgen.random_tgen import (
+    CANDIDATES,
+    PATIENCE,
+    GeneratedTest,
+    generate_test_sequence,
+)
 from repro.tgen.sequence import TestSequence
 from repro.trace import trace_event, traced
 
@@ -150,10 +162,12 @@ def run_full_flow(
 
     ``circuit`` may be a :class:`Circuit` or a library name
     (e.g. ``"s27"``).  ``runtime`` is an optional
-    :class:`~repro.runtime.context.RuntimeContext`; when given, the
-    fault-simulation-heavy stages (compaction, weight selection,
-    reverse-order simulation) run through its worker pool and artifact
-    cache.  Results are bit-identical with or without it.
+    :class:`~repro.runtime.context.RuntimeContext`; when given, test
+    generation and compaction are each cached whole in its artifact
+    cache (:func:`generation_key`, :func:`~repro.tgen.compaction.
+    compaction_key`), and weight selection and reverse-order simulation
+    run through its worker pool and cache.  Results are bit-identical
+    with or without it.
     """
     cfg = config or FlowConfig()
     # Reject a bad configuration up front — before circuit loading and
@@ -170,6 +184,87 @@ def run_full_flow(
         runtime, "full_flow", circuit=circuit.name, tgen_mode=cfg.tgen_mode
     ):
         return _run_stages(circuit, cfg, runtime)
+
+
+def generation_key(
+    circuit_fp: str, faults: Sequence[Fault], cfg: FlowConfig
+) -> str:
+    """The artifact-cache key of the flow's test generation.
+
+    It covers the circuit, the fault list, ``cfg``'s mode, seed and
+    length cap, and the constants :func:`_generate` runs the generator
+    with: :data:`CANDIDATES` and :data:`PATIENCE`, plus the default
+    :class:`~repro.atpg.driver.AtpgConfig` in hybrid mode.  It never
+    covers the backend.
+    """
+    config: Dict[str, object] = {
+        "kind": "tgen",
+        "mode": cfg.tgen_mode,
+        "seed": cfg.seed,
+        "max_len": cfg.tgen_max_len,
+        "candidates": CANDIDATES,
+        "patience": PATIENCE,
+    }
+    if cfg.tgen_mode == "hybrid":
+        from repro.atpg.driver import AtpgConfig
+
+        config["atpg"] = asdict(AtpgConfig())
+    return simulation_key(
+        circuit_fp, stimulus_fingerprint(()), faults_fingerprint(faults), config
+    )
+
+
+def _generate(
+    circuit: Circuit, faults: Sequence[Fault], comp, cfg: FlowConfig
+) -> GeneratedTest:
+    """Test generation in ``cfg``'s mode (uncached)."""
+    if cfg.tgen_mode == "hybrid":
+        from repro.atpg.driver import hybrid_test_sequence
+
+        return hybrid_test_sequence(
+            circuit,
+            faults,
+            seed=cfg.seed,
+            random_max_len=cfg.tgen_max_len,
+            compiled=comp,
+            sim_backend=cfg.sim_backend,
+        )
+    return generate_test_sequence(
+        circuit, faults, seed=cfg.seed, max_len=cfg.tgen_max_len,
+        compiled=comp, sim_backend=cfg.sim_backend,
+    )
+
+
+def _generated_payload(generated: GeneratedTest) -> dict:
+    """JSON-serializable cache payload for a :class:`GeneratedTest`."""
+    return {
+        "sequence": list(generated.sequence.to_strings()),
+        "detected": [fault_name(f) for f in generated.detected],
+        "undetected": [fault_name(f) for f in generated.undetected],
+    }
+
+
+def _generated_from_payload(
+    payload: Optional[dict], faults: Sequence[Fault], width: int
+) -> Optional[GeneratedTest]:
+    """Rebuild a cached :class:`GeneratedTest` against the caller's
+    fault objects; None when the payload does not fit (a miss)."""
+    by_name = {fault_name(f): f for f in faults}
+    try:
+        rows = payload["sequence"]
+        if not isinstance(rows, list) or not all(
+            isinstance(r, str) and len(r) == width for r in rows
+        ):
+            return None
+        detected = tuple(by_name[name] for name in payload["detected"])
+        undetected = tuple(by_name[name] for name in payload["undetected"])
+        named = detected + undetected
+        if len(named) != len(faults) or len(set(named)) != len(faults):
+            return None
+        sequence = TestSequence.from_strings(rows)
+    except (KeyError, TypeError, ValueError):
+        return None
+    return GeneratedTest(sequence, detected, undetected)
 
 
 def _run_stages(
@@ -213,24 +308,16 @@ def _run_stages(
 
     t0 = time.perf_counter()
     with traced(runtime, "test_generation", mode=cfg.tgen_mode):
-        if cfg.tgen_mode == "hybrid":
-            from repro.atpg.driver import hybrid_test_sequence
-
-            generated = hybrid_test_sequence(
-                circuit,
-                faults,
-                seed=cfg.seed,
-                random_max_len=cfg.tgen_max_len,
-                compiled=comp,
-                sim_backend=cfg.sim_backend,
-            )
-        elif cfg.tgen_mode == "random":
-            generated = generate_test_sequence(
-                circuit, faults, seed=cfg.seed, max_len=cfg.tgen_max_len,
-                compiled=comp, sim_backend=cfg.sim_backend,
-            )
-        else:
-            raise ReproError(f"unknown tgen_mode {cfg.tgen_mode!r}")
+        generated = cached_phase(
+            runtime,
+            "tgen",
+            lambda: generation_key(circuit_fingerprint(circuit), faults, cfg),
+            lambda payload: _generated_from_payload(
+                payload, faults, len(circuit.inputs)
+            ),
+            lambda: _generate(circuit, faults, comp, cfg),
+            _generated_payload,
+        )
     timings["test_generation"] = time.perf_counter() - t0
     trace_event(
         runtime, "stage", name="test_generation",

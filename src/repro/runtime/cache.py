@@ -21,6 +21,9 @@ One JSON file per artifact under a cache root (default
   truncates entries right after they are written, so the
   discard-and-recompute path is exercised by tests instead of trusted
   on faith.
+
+:func:`cached_phase` serves a whole flow phase (test generation,
+static compaction) from one entry.
 """
 
 from __future__ import annotations
@@ -29,11 +32,12 @@ import json
 import os
 import warnings
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional, TypeVar
 
 from repro.resilience.chaos import ChaosSpec
 from repro.runtime.keys import CACHE_FORMAT
 from repro.runtime.metrics import RuntimeStats
+from repro.trace import trace_event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.trace.span import Tracer
@@ -42,6 +46,8 @@ DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 """Default cache size cap (256 MiB)."""
 
 _SUFFIX = ".json"
+
+T = TypeVar("T")
 
 
 class CacheIntegrityWarning(UserWarning):
@@ -240,3 +246,35 @@ class ArtifactCache:
 
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob(f"*{_SUFFIX}"))
+
+
+def cached_phase(
+    runtime,
+    op: str,
+    key: Callable[[], str],
+    decode: Callable[[Optional[dict]], Optional[T]],
+    compute: Callable[[], T],
+    encode: Callable[[T], dict],
+) -> T:
+    """One whole flow phase, served from ``runtime``'s artifact cache.
+
+    ``decode`` rebuilds the result from a stored payload, or returns
+    None when it does not fit the request (a miss, recomputed — never
+    a crash); ``encode`` renders a computed result for storage.  Hits
+    and misses fire ``cache_hit`` / ``cache_miss`` trace events tagged
+    ``op``, and misses count in :attr:`RuntimeStats.cache_misses`.
+    Without a runtime or cache this is ``compute()``.
+    """
+    cache = getattr(runtime, "cache", None)
+    if cache is None:
+        return compute()
+    cache_key = key()
+    result = decode(cache.get(cache_key))
+    if result is not None:
+        trace_event(runtime, "cache_hit", op=op, key=cache_key)
+        return result
+    runtime.stats.cache_misses += 1
+    trace_event(runtime, "cache_miss", op=op, key=cache_key)
+    result = compute()
+    cache.put(cache_key, encode(result))
+    return result

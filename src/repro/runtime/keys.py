@@ -17,6 +17,16 @@ Fingerprint sources:
   depend on fault order.
 * **Stimulus** — the ``0``/``1``/``x`` rendering, one row per cycle.
 * **Config** — a JSON rendering with sorted keys.
+
+The config's ``kind`` names what the entry holds: one fault simulation
+(``run``, ``screen``), one phase of the Pareto search
+(``optimize_phase``), or a whole flow phase — ``tgen``, a generated
+test sequence (an empty stimulus; the config carries the generation
+mode, seed, length cap and the generator's constants, see
+:func:`repro.flows.full_flow.generation_key`) and ``compaction``, a
+statically compacted one (the stimulus is the input sequence and the
+config the budget, see :func:`repro.tgen.compaction.compaction_key`).
+No key covers the simulation backend: backends are bit-identical.
 """
 
 from __future__ import annotations

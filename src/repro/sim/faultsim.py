@@ -21,7 +21,8 @@ Two front ends share the stepping engine:
   consume.
 * :class:`IncrementalFaultSimulator` — pattern-at-a-time stepping with
   snapshot/restore, used by the simulation-based test generator to
-  evaluate candidate patterns without re-simulating the prefix.
+  score candidate patterns and by static compaction to resume checks,
+  neither re-simulating the prefix.
 
 :class:`FaultSimulator` optionally plugs into the runtime layer
 (:mod:`repro.runtime`): given a
@@ -887,9 +888,23 @@ class FaultSimulator:
 class IncrementalFaultSimulator:
     """Pattern-at-a-time fault simulation with snapshot/restore.
 
-    Used by the simulation-based test generator: candidate patterns are
-    *peeked* (stepped on a copy of the state) and the best one is
-    *committed*, so the growing sequence's prefix is never re-simulated.
+    The sequence being built or checked is never re-simulated from its
+    start:
+
+    * the test generator scores a cycle's candidate patterns and
+      commits the best with :meth:`step_best` — on the vector backend
+      one multi-block kernel step, on the oracle one :meth:`peek` per
+      candidate plus a :meth:`step`;
+    * static compaction keeps a :meth:`snapshot` before every cycle of
+      the accepted sequence and resumes each check from the one at the
+      removed block's start with :meth:`restore`.
+
+    A step that detects repacks the survivors (:meth:`regroup`) once
+    they fit in half the words or groups, on both backends, so the
+    snapshots compaction keeps shrink as faults drop.  A snapshot
+    carries the lane layout it was taken in (the vector kernel and its
+    lane→fault tuple, or the oracle's group list), so a restore across
+    a repack is exact.
     """
 
     def __init__(
@@ -948,7 +963,37 @@ class IncrementalFaultSimulator:
             if bits:
                 newly.extend(group.faults_of_mask(bits))
         self._n_detected += len(newly)
+        # Repack once the survivors fit in half the groups, as the
+        # vector backend re-lanes; never down to no group, which would
+        # stop validating patterns.
+        need = -(-self.n_remaining // GROUP_FAULTS)
+        if newly and need and need <= len(self._groups) // 2:
+            self.regroup()
         return newly
+
+    def step_best(
+        self, patterns: Sequence[Sequence[Value]]
+    ) -> Tuple[int, List[Fault]]:
+        """Commit the candidate with the most new detections.
+
+        Ties go to the earliest of ``patterns``.  Returns the winner's
+        index and the faults it newly detected.  A malformed candidate
+        raises the :class:`SimulationError` its :meth:`peek` would,
+        before any state changes.
+        """
+        if not patterns:
+            raise SimulationError("step_best needs at least one candidate")
+        if self._vec is not None:
+            best, newly = self._vec.step_best(patterns)
+            self._n_detected += len(newly)
+            return best, newly
+        best = 0
+        best_score = self.peek(patterns[0])
+        for index in range(1, len(patterns)):
+            score = self.peek(patterns[index])
+            if score > best_score:
+                best, best_score = index, score
+        return best, self.step(patterns[best])
 
     def peek(self, pattern: Sequence[Value]) -> int:
         """Count detections ``pattern`` would achieve, without committing."""
@@ -963,6 +1008,22 @@ class IncrementalFaultSimulator:
                 count += 1
             group.restore(snap)
         return count
+
+    def snapshot(self) -> tuple:
+        """The whole simulation state, for a later :meth:`restore`."""
+        if self._vec is not None:
+            return (self._n_detected, self._vec.snapshot())
+        return (self._n_detected, [(g, g.snapshot()) for g in self._groups])
+
+    def restore(self, snap: tuple) -> None:
+        """Return to a :meth:`snapshot` (any number of times)."""
+        self._n_detected, state = snap
+        if self._vec is not None:
+            self._vec.restore(state)
+            return
+        self._groups = [group for group, _ in state]
+        for group, group_snap in state:
+            group.restore(group_snap)
 
     def reset_state(self) -> None:
         """Reset the circuit state to all-X in every machine."""

@@ -155,6 +155,32 @@ class _Checkpoint:
         return False
 
 
+def _fits_half(kern: IntKernel) -> bool:
+    """Do the surviving lanes (plus the good one) fit in half the words?"""
+    need = -(-(_popcount(kern.active) + 1) // WORD_BITS)
+    return need <= kern.words_per_block // 2
+
+
+def _relane(
+    kern: IntKernel,
+    lane_fault: Tuple[Fault, ...],
+    comp: CompiledCircuit,
+    flop_pos: Dict[str, int],
+) -> Tuple[IntKernel, Tuple[Fault, ...]]:
+    """A single-block kernel over ``kern``'s active lanes only, in lane
+    order, carrying every surviving machine's flip-flop state."""
+    act = kern.active
+    lanes: List[int] = []
+    while act:
+        low = act & -act
+        act ^= low
+        lanes.append(low.bit_length() - 1)
+    new_faults = tuple(lane_fault[lane - 1] for lane in lanes)
+    new_kern = IntKernel(build_program(comp, flop_pos, new_faults))
+    new_kern.load_state([kern.extract_lane(lane) for lane in [0] + lanes])
+    return new_kern, new_faults
+
+
 def _agree(now: Sequence[int], then: Sequence[int], keep: int) -> bool:
     """Do the words agree on every lane of ``keep``?  Stops at the
     first word that differs."""
@@ -254,25 +280,9 @@ class VectorEngine:
         to ``log2(words)`` — each rebuild builds a new program and
         compiles it unless its force layout is still in the step memo,
         so rebuilding on every dropped word costs more than it saves."""
-        survivors_n = _popcount(kern.active)
-        need = -(-(survivors_n + 1) // WORD_BITS)
-        if need > kern.words_per_block // 2:
+        if not _fits_half(kern):
             return kern, lane_fault
-        act = kern.active
-        survivors: List[Tuple[Fault, int]] = []
-        lane = 0
-        while act:
-            low = act & -act
-            act ^= low
-            lane = low.bit_length() - 1
-            survivors.append((lane_fault[lane - 1], lane))
-        good = kern.extract_lane(0)
-        states = [kern.extract_lane(lane) for _, lane in survivors]
-        new_faults = tuple(f for f, _ in survivors)
-        prog = build_program(self.comp, self.flop_pos, new_faults)
-        new_kern = IntKernel(prog)
-        new_kern.load_state([good] + states)
-        return new_kern, new_faults
+        return _relane(kern, lane_fault, self.comp, self.flop_pos)
 
     # -- batched runs / screening ------------------------------------------
 
@@ -408,7 +418,17 @@ class VectorEngine:
 
 
 class VectorIncremental:
-    """Vector backend for :class:`~repro.sim.faultsim.IncrementalFaultSimulator`."""
+    """Vector backend for :class:`~repro.sim.faultsim.IncrementalFaultSimulator`.
+
+    One single-block kernel holds the committed state.  A step re-lanes
+    it (:func:`_relane`) once its survivors fit in half its words, the
+    :meth:`VectorEngine._maybe_compact` rule, so every snapshot is taken
+    in a compact layout.  :meth:`step_best` scores a cycle's candidates
+    as the blocks of one multi-block kernel step, kept across cycles
+    until the lanes change.  Survivor programs are not memoized: no
+    survivor list of a walk or a compaction was seen to repeat (g208,
+    g641, g1423), so a memo only held dead programs.
+    """
 
     def __init__(
         self,
@@ -419,8 +439,9 @@ class VectorIncremental:
         self.comp = comp
         self.flop_pos = dict(flop_pos)
         self._lane_fault: Tuple[Fault, ...] = tuple(faults)
-        prog = build_program(comp, flop_pos, self._lane_fault)
-        self._kern = IntKernel(prog)
+        self._kern = IntKernel(build_program(comp, flop_pos, self._lane_fault))
+        self._scorer: Optional[IntKernel] = None
+        self._seed = 1
         self._n_pi = len(comp.pi_indices)
 
     def remaining_faults(self) -> List[Fault]:
@@ -431,17 +452,75 @@ class VectorIncremental:
             if (act >> lane) & 1
         ]
 
-    def step(self, pattern: Sequence[Value]) -> List[Fault]:
-        if not self._lane_fault:
-            return []  # the oracle has no group left to step
-        pat = _check_pattern(pattern, self._n_pi)
-        det = self._kern.step([pat])
+    def _commit(self, det: int) -> List[Fault]:
+        """Decode a committed step's detections; re-lane if it pays.
+
+        A kernel with no survivor is kept: the oracle still validates
+        patterns while it has a group, detected or not.
+        """
         newly: List[Fault] = []
         while det:
             low = det & -det
             det ^= low
             newly.append(self._lane_fault[low.bit_length() - 2])
+        if newly and self._kern.active and _fits_half(self._kern):
+            self.regroup()
         return newly
+
+    def step(self, pattern: Sequence[Value]) -> List[Fault]:
+        if not self._lane_fault:
+            return []  # the oracle has no group left to step
+        pat = _check_pattern(pattern, self._n_pi)
+        return self._commit(self._kern.step([pat]))
+
+    def step_best(
+        self, patterns: Sequence[Sequence[Value]]
+    ) -> Tuple[int, List[Fault]]:
+        """Commit the earliest of ``patterns`` with the most new
+        detections; return its index and those detections.
+
+        Block ``b`` of the scoring kernel starts from the committed
+        state (each flip-flop word and the active mask times
+        ``sum(2 ** (b * block_bits))``) and steps ``patterns[b]``;
+        blocks never interact, so each scores exactly what a peek
+        would.  The winner's block is shifted back into the committed
+        kernel.  Every pattern is validated first, so a bad one raises
+        before any state changes.
+        """
+        if not self._lane_fault:
+            return 0, []
+        pats = [_check_pattern(p, self._n_pi) for p in patterns]
+        kern = self._kern
+        if len(pats) == 1:
+            return 0, self._commit(kern.step(pats))
+        scorer = self._scorer
+        if (
+            scorer is None
+            or scorer.program is not kern.program
+            or scorer.n_blocks != len(pats)
+        ):
+            self._scorer = None  # free the stale one first
+            scorer = self._scorer = IntKernel(kern.program, len(pats))
+            # (2**(n*bb) - 1) / (2**bb - 1) == sum(2**(b*bb) for b < n)
+            self._seed = scorer.full // kern.full
+        bb = scorer.block_bits
+        seed = self._seed
+        scorer.S_O = [w * seed for w in kern.S_O]
+        scorer.S_Z = [w * seed for w in kern.S_Z]
+        scorer.active = kern.active * seed
+        det = scorer.step(pats)
+        block = (1 << bb) - 1
+        best = 0
+        best_score = -1
+        for b in range(len(pats)):
+            score = _popcount((det >> (b * bb)) & block)
+            if score > best_score:
+                best, best_score = b, score
+        shift = best * bb
+        kern.S_O = [(w >> shift) & block for w in scorer.S_O]
+        kern.S_Z = [(w >> shift) & block for w in scorer.S_Z]
+        kern.active = (scorer.active >> shift) & block
+        return best, self._commit((det >> shift) & block)
 
     def peek(self, pattern: Sequence[Value]) -> int:
         if not self._lane_fault:
@@ -452,22 +531,22 @@ class VectorIncremental:
         self._kern.restore(snap)
         return _popcount(det)
 
+    def snapshot(self):
+        """The kernel, its lane→fault tuple and its state."""
+        return (self._kern, self._lane_fault, self._kern.snapshot())
+
+    def restore(self, snap) -> None:
+        """Reinstate :meth:`snapshot` output, in the layout it was taken."""
+        kern, lane_fault, state = snap
+        kern.restore(state)
+        self._kern = kern
+        self._lane_fault = lane_fault
+
     def reset_state(self) -> None:
         self._kern.reset_state()
 
     def regroup(self) -> None:
         """Repack survivors densely, preserving every machine's state."""
-        kern = self._kern
-        act = kern.active
-        survivors: List[Tuple[Fault, int]] = []
-        while act:
-            low = act & -act
-            act ^= low
-            lane = low.bit_length() - 1
-            survivors.append((self._lane_fault[lane - 1], lane))
-        good = kern.extract_lane(0)
-        states = [kern.extract_lane(lane) for _, lane in survivors]
-        self._lane_fault = tuple(f for f, _ in survivors)
-        prog = build_program(self.comp, self.flop_pos, self._lane_fault)
-        self._kern = IntKernel(prog)
-        self._kern.load_state([good] + states)
+        self._kern, self._lane_fault = _relane(
+            self._kern, self._lane_fault, self.comp, self.flop_pos
+        )

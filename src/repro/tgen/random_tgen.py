@@ -5,9 +5,13 @@ deterministic test sequence ``T`` that drives the paper's weight
 selection.  The generator is a greedy, fault-simulation-guided search:
 
 1. At each time unit, draw ``candidates`` random input patterns and
-   *peek* each one against the remaining faults from the current
+   score each one against the remaining faults from the current
    circuit/fault state (no prefix re-simulation — the incremental
-   simulator carries state forward).
+   simulator carries state forward).  All candidates are drawn before
+   any is scored, and
+   :meth:`~repro.sim.faultsim.IncrementalFaultSimulator.step_best`
+   scores them together: on the vector backend one multi-block kernel
+   step per time unit, so ``T`` costs ``len(T)`` kernel steps.
 2. Commit the pattern detecting the most new faults; on a tie, prefer
    the earliest drawn (keeps the walk random).
 3. If no progress happens for ``patience`` consecutive time units, the
@@ -33,6 +37,13 @@ from repro.sim.faults import Fault
 from repro.sim.faultsim import IncrementalFaultSimulator
 from repro.tgen.sequence import TestSequence
 from repro.util.rng import DeterministicRng
+
+CANDIDATES = 4
+"""Random patterns scored per time unit (the default ``candidates``)."""
+
+PATIENCE = 64
+"""Unproductive time units before dry-spell walking (the default
+``patience``)."""
 
 
 @dataclass(frozen=True)
@@ -65,8 +76,8 @@ def generate_test_sequence(
     faults: Sequence[Fault] | None = None,
     seed: int = 1,
     max_len: int = 4000,
-    candidates: int = 4,
-    patience: int = 64,
+    candidates: int = CANDIDATES,
+    patience: int = PATIENCE,
     compiled: CompiledCircuit | None = None,
     sim_backend=None,
 ) -> GeneratedTest:
@@ -83,11 +94,12 @@ def generate_test_sequence(
     max_len:
         Hard cap on sequence length.
     candidates:
-        Random patterns peeked per time unit; the best is committed.
+        Random patterns scored per time unit; the best is committed.
+        At least one is drawn.
     patience:
-        After this many consecutive unproductive time units the
-        candidate peeking is suspended for one unit (a free random
-        step), which is both faster and a useful perturbation.
+        After this many consecutive unproductive time units candidate
+        scoring is suspended on three of every four units (a free
+        random step), which is both faster and a useful perturbation.
     compiled:
         Optional pre-compiled circuit to reuse.
     sim_backend:
@@ -109,19 +121,14 @@ def generate_test_sequence(
 
     while sim.n_remaining and len(patterns) < max_len:
         if dry_run >= patience and dry_run % 4 != 0:
-            # Free-running random walk during dry spells: peeking every
+            # Free-running random walk during dry spells: scoring every
             # step buys nothing when nothing is detectable nearby.
             pattern = rng.bits(n_pi)
+            newly = sim.step(pattern)
         else:
-            best = rng.bits(n_pi)
-            best_score = sim.peek(best)
-            for _ in range(candidates - 1):
-                cand = rng.bits(n_pi)
-                score = sim.peek(cand)
-                if score > best_score:
-                    best, best_score = cand, score
-            pattern = best
-        newly = sim.step(pattern)
+            drawn = [rng.bits(n_pi) for _ in range(max(candidates, 1))]
+            best, newly = sim.step_best(drawn)
+            pattern = drawn[best]
         patterns.append(pattern)
         since_regroup += 1
         if newly:

@@ -10,11 +10,15 @@ and still reproduces the cold results exactly).
 from __future__ import annotations
 
 import json
+from dataclasses import replace
+from functools import partial
 
 import pytest
 
-from repro.flows import flow_config_for
-from repro.flows.full_flow import run_full_flow
+from repro.atpg import AtpgConfig
+from repro.atpg import driver as atpg_driver
+from repro.flows import flow_config_for, full_flow
+from repro.flows.full_flow import FlowConfig, generation_key, run_full_flow
 from repro.runtime import (
     CACHE_FORMAT,
     ArtifactCache,
@@ -25,13 +29,19 @@ from repro.runtime import (
     simulation_key,
     stimulus_fingerprint,
 )
-from repro.sim import FaultSimulator
+from repro.sim import FaultSimulator, collapse_faults
+from repro.sim.vector.kernels import IntKernel
+from repro.tgen import compact_sequence
+from repro.tgen.compaction import compaction_key
+from repro.trace import normalized_json
 
 
 # -- key sensitivity --------------------------------------------------------
 
 
-def test_key_changes_with_each_ingredient(s27, g208, s27_faults, paper_t):
+def test_key_changes_with_each_ingredient(
+    s27, g208, s27_faults, paper_t, tmp_path, monkeypatch
+):
     base = dict(
         circuit_fp=circuit_fingerprint(s27),
         stimulus_fp=stimulus_fingerprint(paper_t.patterns),
@@ -59,6 +69,63 @@ def test_key_changes_with_each_ingredient(s27, g208, s27_faults, paper_t):
     assert (
         key(config={"kind": "run", "record_lines": True}) != reference
     )
+
+    # Whole test generation: circuit, faults, mode, seed, length cap and
+    # the generator's constants are in the key; the backend is not.
+    s27_fp = circuit_fingerprint(s27)
+    cfg = FlowConfig()
+    hybrid = replace(cfg, tgen_mode="hybrid")
+    tgen = generation_key(s27_fp, s27_faults, cfg)
+    assert generation_key(s27_fp, s27_faults, cfg) == tgen
+    variants = [
+        generation_key(circuit_fingerprint(g208), s27_faults, cfg),
+        generation_key(s27_fp, s27_faults[:-1], cfg),
+        generation_key(s27_fp, s27_faults, hybrid),
+        generation_key(s27_fp, s27_faults, replace(cfg, seed=2)),
+        generation_key(s27_fp, s27_faults, replace(cfg, tgen_max_len=1999)),
+    ]
+    # The generator's constants, each changed on its own.
+    with monkeypatch.context() as patch:
+        patch.setattr(full_flow, "CANDIDATES", full_flow.CANDIDATES + 1)
+        variants.append(generation_key(s27_fp, s27_faults, cfg))
+    with monkeypatch.context() as patch:
+        patch.setattr(full_flow, "PATIENCE", full_flow.PATIENCE - 1)
+        variants.append(generation_key(s27_fp, s27_faults, cfg))
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            atpg_driver, "AtpgConfig", partial(AtpgConfig, backtrack_limit=301)
+        )
+        variants.append(generation_key(s27_fp, s27_faults, hybrid))
+    assert len({tgen, *variants}) == len(variants) + 1
+    for backend in ("python", "vector"):
+        assert generation_key(
+            s27_fp, s27_faults, replace(cfg, sim_backend=backend)
+        ) == tgen
+        assert generation_key(
+            s27_fp, s27_faults, replace(hybrid, sim_backend=backend)
+        ) == generation_key(s27_fp, s27_faults, hybrid)
+
+    # Whole compaction: circuit, input sequence, targets and budget.
+    comp = compaction_key(s27_fp, paper_t, s27_faults, 60)
+    variants = [
+        compaction_key(circuit_fingerprint(g208), paper_t, s27_faults, 60),
+        compaction_key(s27_fp, paper_t.prefix(9), s27_faults, 60),
+        compaction_key(s27_fp, paper_t, s27_faults[:-1], 60),
+        compaction_key(s27_fp, paper_t, s27_faults, 59),
+    ]
+    assert len({comp, *variants}) == len(variants) + 1
+    # ... and not the backend: a vector compaction is served from the
+    # entry a python one wrote.
+    with RuntimeContext(cache_dir=tmp_path) as rt:
+        by_python = compact_sequence(
+            s27, paper_t, s27_faults, runtime=rt, sim_backend="python"
+        )
+        stores = rt.stats.cache_stores
+        by_vector = compact_sequence(
+            s27, paper_t, s27_faults, runtime=rt, sim_backend="vector"
+        )
+        assert rt.stats.cache_stores == stores == 1
+    assert by_vector == by_python
 
 
 def test_faults_fingerprint_is_order_insensitive(s27_faults):
@@ -171,7 +238,116 @@ def test_tampered_payload_treated_as_miss(tmp_path, s27, s27_faults, paper_t):
     assert result.detection_time == expected.detection_time
 
 
+def _phase_entries(root, circuit, cfg, flow):
+    """Cache paths of a flow's test-generation and compaction entries."""
+    circuit_fp = circuit_fingerprint(circuit)
+    keys = {
+        "tgen": generation_key(circuit_fp, collapse_faults(circuit), cfg),
+        "compaction": compaction_key(
+            circuit_fp, flow.generated.sequence, flow.generated.detected,
+            cfg.compaction_sims,
+        ),
+    }
+    return {op: root / f"{key}.json" for op, key in keys.items()}
+
+
+def _assert_same_flow(a, b):
+    """Every deterministic output of two flow runs agrees."""
+    for name in (
+        "generated", "compaction", "sequence", "reverse_order", "table6",
+        "tpg", "tpg_verified", "pruned",
+    ):
+        assert getattr(a, name) == getattr(b, name), name
+    # WeightSet compares by identity; compare its weights instead.
+    assert list(a.procedure.weight_set) == list(b.procedure.weight_set)
+    assert replace(a.procedure, weight_set=None) == replace(
+        b.procedure, weight_set=None
+    )
+
+
+TAMPERS = {
+    "tgen": [
+        lambda p: {**p, "sequence": [row + "0" for row in p["sequence"]]},
+        lambda p: {**p, "detected": p["detected"][:-1] + ["NOSUCH/SA0"]},
+        lambda p: {**p, "undetected": 7},
+        lambda p: {**p, "sequence": "".join(p["sequence"])},
+    ],
+    "compaction": [
+        lambda p: {**p, "sequence": [row[:-1] for row in p["sequence"]]},
+        lambda p: {**p, "original_length": p["original_length"] + 1},
+        lambda p: {**p, "n_simulations": str(p["n_simulations"])},
+        lambda p: {**p, "sequence": "".join(p["sequence"])},
+    ],
+}
+
+
+@pytest.mark.parametrize("variant", range(4))
+def test_tampered_phase_entries_are_misses(tmp_path, s27, variant):
+    """A well-formed test-generation or compaction entry whose payload
+    does not fit (wrong width, unknown fault, wrong types) is a miss:
+    the phase reruns to the identical result and stores it back."""
+    cfg = flow_config_for("s27", l_g=32)
+    with RuntimeContext(cache_dir=tmp_path) as rt:
+        cold = run_full_flow(s27, cfg, runtime=rt)
+    entries = _phase_entries(tmp_path, s27, cfg, cold)
+    originals = {}
+    for op, path in entries.items():
+        entry = json.loads(path.read_text())
+        originals[op] = entry["payload"]
+        entry["payload"] = TAMPERS[op][variant](entry["payload"])
+        path.write_text(json.dumps(entry))
+    with RuntimeContext(cache_dir=tmp_path, trace=True) as rt:
+        warm = run_full_flow(s27, cfg, runtime=rt)
+        missed = [
+            e.attrs["op"] for e in rt.tracer.events if e.kind == "cache_miss"
+        ]
+    assert missed.count("tgen") == missed.count("compaction") == 1
+    _assert_same_flow(warm, cold)
+    for op, path in entries.items():
+        assert json.loads(path.read_text())["payload"] == originals[op]
+
+
+def test_truncated_phase_entries_recomputed(tmp_path, s27):
+    cfg = flow_config_for("s27", l_g=32)
+    with RuntimeContext(cache_dir=tmp_path) as rt:
+        cold = run_full_flow(s27, cfg, runtime=rt)
+    for path in _phase_entries(tmp_path, s27, cfg, cold).values():
+        path.write_text(path.read_text()[:10])
+    with RuntimeContext(cache_dir=tmp_path) as rt:
+        with pytest.warns(CacheIntegrityWarning):
+            warm = run_full_flow(s27, cfg, runtime=rt)
+        assert rt.stats.cache_discards == 2
+    _assert_same_flow(warm, cold)
+
+
 # -- flow-level guarantee ---------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["s27", "g208"])
+def test_warm_rerun_steps_no_kernel(tmp_path, name, monkeypatch):
+    """A warm rerun, even with two workers, simulates nothing: test
+    generation and compaction come back whole from the cache, and the
+    result and normalized trace equal the cold run's."""
+    cfg = flow_config_for(name, l_g=64 if name != "s27" else 128)
+    with RuntimeContext(cache_dir=tmp_path, trace=True) as rt:
+        cold = run_full_flow(name, cfg, runtime=rt)
+        cold_trace = normalized_json(rt.tracer.finish(), rt.tracer.events)
+    steps = [0]
+    step = IntKernel.step
+
+    def counted(self, patterns):
+        steps[0] += 1
+        return step(self, patterns)
+
+    monkeypatch.setattr(IntKernel, "step", counted)
+    with RuntimeContext(cache_dir=tmp_path, jobs=2, trace=True) as rt:
+        warm = run_full_flow(name, cfg, runtime=rt)
+        warm_trace = normalized_json(rt.tracer.finish(), rt.tracer.events)
+        assert rt.stats.tasks_dispatched == 0
+    assert steps[0] == 0
+    assert warm_trace == cold_trace
+    _assert_same_flow(warm, cold)
+
 
 
 @pytest.mark.parametrize("name", ["s27", "g208"])

@@ -39,7 +39,7 @@ from repro.sim import (
 from repro.sim.faults import FaultPruner, all_faults
 from repro.sim.faultsim import GROUP_FAULTS
 from repro.sim.vector import WORD_BITS, build_program
-from repro.sim.vector.engine import VectorEngine
+from repro.sim.vector.engine import VectorEngine, VectorIncremental
 from repro.sim.vector.kernels import (
     STEP_MEMO_SIZE,
     IntKernel,
@@ -168,6 +168,55 @@ class TestRandomCircuits:
             if cycle == 6:
                 inc_py.regroup()
                 inc_vec.regroup()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        n_pi=st.integers(min_value=1, max_value=5),
+        n_ff=st.integers(min_value=0, max_value=5),
+        n_gates=st.integers(min_value=3, max_value=24),
+        stim_seed=st.integers(min_value=0, max_value=10_000),
+        n_cands=st.integers(min_value=1, max_value=6),
+        regroup=st.booleans(),
+    )
+    def test_step_best_agrees(
+        self, seed, n_pi, n_ff, n_gates, stim_seed, n_cands, regroup
+    ):
+        """``step_best`` commits the earliest argmax of ``peek`` and
+        returns what ``step`` of it detects, on both backends, from a
+        random state, before or after a regroup."""
+        n_gates = max(n_gates, n_ff, 2)
+        circuit = synthesize(
+            SynthSpec("hyp", n_pi, 1, n_ff, n_gates, seed=seed)
+        )
+        faults = all_faults(circuit)
+        rng = random.Random(stim_seed)
+        twin = IncrementalFaultSimulator(circuit, faults, backend="python")
+        sims = [
+            IncrementalFaultSimulator(circuit, faults, backend=backend)
+            for backend in ("python", "vector")
+        ]
+        for pattern in _random_stimulus(rng, n_pi, 10):
+            newly = twin.step(pattern)
+            assert [sim.step(pattern) for sim in sims] == [newly, newly]
+        if regroup:
+            for sim in (twin, *sims):
+                sim.regroup()
+        for _ in range(3):
+            cands = [
+                [rng.choice([0, 1, 2]) for _ in range(n_pi)]
+                for _ in range(n_cands)
+            ]
+            scores = [twin.peek(c) for c in cands]
+            best = scores.index(max(scores))
+            newly = twin.step(cands[best])
+            for sim in sims:
+                assert sim.step_best(cands) == (best, newly)
+                assert sim.remaining_faults() == twin.remaining_faults()
+                assert sim.n_remaining == twin.n_remaining
+        probe = [rng.choice([0, 1]) for _ in range(n_pi)]
+        newly = twin.step(probe)
+        assert [sim.step(probe) for sim in sims] == [newly, newly]
 
 
 class TestFixtureCircuits:
@@ -422,6 +471,150 @@ class TestIncrementalPartialDetection:
             hits += verdict
             misses += not verdict
         assert hits and misses  # both answers exercised
+
+
+class TestStepBestAndSnapshots:
+    """``step_best`` edge cases, and snapshot/restore across layouts."""
+
+    @staticmethod
+    def _walk(circuit, n, seed):
+        rng = random.Random(seed)
+        return [[rng.choice([0, 1]) for _ in circuit.inputs] for _ in range(n)]
+
+    def test_zero_faults(self):
+        """No fault, no group: nothing is stepped or validated."""
+        circuit = load_circuit("s27")
+        for backend in ("python", "vector"):
+            inc = IncrementalFaultSimulator(circuit, [], backend=backend)
+            assert inc.step_best([[0, 1, 0], [0, 1, 0, 7]]) == (0, [])
+            assert inc.remaining_faults() == []
+
+    def test_all_detected_still_validates(self):
+        """Detecting every fault re-lanes nothing away: like the oracle,
+        whose groups outlive their faults, the vector backend still
+        rejects a malformed pattern."""
+        circuit = load_circuit("g208")
+        walk = self._walk(circuit, 40, 3)
+        result = FaultSimulator(circuit, backend="python").run(
+            walk, all_faults(circuit)
+        )
+        # Faults a single cycle detects all at once, over two words.
+        times = list(result.detection_time.values())
+        burst = max(set(times), key=times.count)
+        faults = [f for f in result.detected if result.detection_time[f] == burst]
+        assert len(faults) > WORD_BITS
+        for backend in ("python", "vector"):
+            inc = IncrementalFaultSimulator(circuit, faults, backend=backend)
+            for pattern in walk:
+                inc.step(pattern)
+            assert inc.n_remaining == 0
+            with pytest.raises(SimulationError, match="primary inputs"):
+                inc.step([0, 1])
+            with pytest.raises(SimulationError, match="primary inputs"):
+                inc.step_best([walk[0], [0, 1]])
+
+    def test_after_regroup(self):
+        circuit = load_circuit("g208")
+        faults = all_faults(circuit)
+        walk = self._walk(circuit, 40, 3)
+        twin = IncrementalFaultSimulator(circuit, faults, backend="python")
+        sims = [
+            IncrementalFaultSimulator(circuit, faults, backend=backend)
+            for backend in ("python", "vector")
+        ]
+        for sim in (twin, *sims):
+            for pattern in walk[:20]:
+                sim.step(pattern)
+            sim.regroup()
+        for u in range(20, 40, 4):
+            cands = walk[u : u + 4]
+            scores = [twin.peek(c) for c in cands]
+            best = scores.index(max(scores))
+            newly = twin.step(cands[best])
+            for sim in sims:
+                assert sim.step_best(cands) == (best, newly)
+                assert sim.remaining_faults() == twin.remaining_faults()
+
+    @pytest.mark.parametrize("bad", [[0, 1, 0], [0, 1, 0, 7, 1, 0, 1, 1, 0, 1]])
+    def test_malformed_candidate(self, bad):
+        """The first failing peek's error, raised before any state
+        change, on both backends."""
+        circuit = load_circuit("g208")
+        faults = all_faults(circuit)
+        walk = self._walk(circuit, 12, 9)
+        cands = [walk[10], bad, walk[11]]
+        twin = IncrementalFaultSimulator(circuit, faults, backend="python")
+        for pattern in walk[:10]:
+            twin.step(pattern)
+        with pytest.raises(SimulationError) as peeked:
+            for cand in cands:
+                twin.peek(cand)
+        remaining = twin.remaining_faults()
+        expected = twin.step(walk[11])
+        for backend in ("python", "vector"):
+            inc = IncrementalFaultSimulator(circuit, faults, backend=backend)
+            for pattern in walk[:10]:
+                inc.step(pattern)
+            with pytest.raises(SimulationError) as raised:
+                inc.step_best(cands)
+            assert str(raised.value) == str(peeked.value)
+            assert inc.remaining_faults() == remaining
+            assert inc.step(walk[11]) == expected
+
+    def test_snapshot_restore_across_relane(self, monkeypatch):
+        """A snapshot taken before a repack (automatic on both backends
+        once the survivors fit in half the words or groups) restores
+        exactly, and so does one taken after it."""
+        relanes = {"python": [], "vector": []}
+        regroup = IncrementalFaultSimulator.regroup
+        relane = VectorIncremental.regroup
+
+        def counted(self):
+            relanes["python"].append(self.n_remaining)
+            regroup(self)
+
+        def counted_vector(self):
+            relanes["vector"].append(len(self._lane_fault))
+            relane(self)
+
+        monkeypatch.setattr(IncrementalFaultSimulator, "regroup", counted)
+        monkeypatch.setattr(VectorIncremental, "regroup", counted_vector)
+        circuit = load_circuit("g208")
+        faults = all_faults(circuit)
+        walk = self._walk(circuit, 60, 5)
+        for backend in ("python", "vector"):
+            inc = IncrementalFaultSimulator(circuit, faults, backend=backend)
+            before = inc.snapshot()
+            first = [inc.step(p) for p in walk]
+            remaining = inc.remaining_faults()
+            after = inc.snapshot()
+            second = [inc.step(p) for p in walk]
+            inc.restore(before)
+            assert inc.n_remaining == len(faults)
+            assert [inc.step(p) for p in walk] == first
+            inc.restore(after)
+            assert inc.remaining_faults() == remaining
+            assert [inc.step(p) for p in walk] == second
+        assert relanes["python"] and relanes["vector"]
+        assert relanes["vector"][0] == len(faults)
+
+    def test_oracle_repacks_once_survivors_fit_half(self, monkeypatch):
+        """After a detecting step the oracle holds fewer than twice the
+        groups its survivors need, as the vector backend re-lanes, and
+        the repack changes no answer of a twin that never repacks."""
+        circuit = load_circuit("g208")
+        faults = all_faults(circuit)
+        inc = IncrementalFaultSimulator(circuit, faults, backend="python")
+        twin = IncrementalFaultSimulator(circuit, faults, backend="python")
+        monkeypatch.setattr(twin, "regroup", lambda: None)
+        n_groups = len(inc._groups)
+        assert n_groups > 2
+        for pattern in self._walk(circuit, 200, 7):
+            assert inc.step(pattern) == twin.step(pattern)
+            assert inc.remaining_faults() == twin.remaining_faults()
+            need = -(-inc.n_remaining // GROUP_FAULTS)
+            assert not need or len(inc._groups) < 2 * need
+        assert len(inc._groups) < len(twin._groups) == n_groups
 
 
 class TestStepMemo:

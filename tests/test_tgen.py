@@ -1,13 +1,23 @@
 """Tests for the test-generation substrate: TestSequence, the
-simulation-based generator, and static compaction."""
+simulation-based generator, and static compaction — including the proof
+that checkpoint-resumed compaction equals the cycle-0 formulation, and
+the kernel step counts both phases are held to."""
 
 from __future__ import annotations
 
-import pytest
+import hashlib
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.circuit.synth import SynthSpec, synthesize
 from repro.errors import SimulationError
 from repro.sim import FaultSimulator, VX, collapse_faults
+from repro.sim.faults import all_faults, fault_name
+from repro.sim.vector.kernels import IntKernel
 from repro.tgen import TestSequence, compact_sequence, generate_test_sequence
+from repro.tgen.compaction import CompactionResult
 
 
 class TestTestSequence:
@@ -128,3 +138,150 @@ class TestCompaction:
         comp = compact_sequence(s27, paper_t, s27_faults)
         resim = FaultSimulator(s27).run(comp.sequence.patterns, s27_faults)
         assert not resim.undetected
+
+
+@pytest.fixture
+def kernel_steps(monkeypatch):
+    """Counts :meth:`IntKernel.step` calls (one per stepped cycle)."""
+    count = [0]
+    step = IntKernel.step
+
+    def counted(self, patterns):
+        count[0] += 1
+        return step(self, patterns)
+
+    monkeypatch.setattr(IntKernel, "step", counted)
+    return count
+
+
+def _cycle0_compaction(circuit, sequence, targets, budget):
+    """Reference compaction: every check re-simulates its candidate
+    from cycle 0 on the oracle (the formulation the checkpointed
+    implementation must reproduce exactly)."""
+    sim = FaultSimulator(circuit, backend="python")
+    faults = list(targets)
+    original = len(sequence)
+    if not faults or not original:
+        return CompactionResult(sequence, original, original, 0)
+    result = sim.run(sequence.patterns, faults)
+    checks = 1
+    if result.undetected:
+        raise ValueError(
+            f"sequence does not detect {len(result.undetected)} of the "
+            "target faults"
+        )
+    current = sequence.prefix(max(result.detection_time.values()) + 1)
+    block = max(1, len(current) // 2)
+    while block >= 1 and checks < budget:
+        start = len(current) - block
+        progressed = False
+        while start >= 0 and checks < budget:
+            candidate = TestSequence(
+                current.patterns[:start] + current.patterns[start + block :]
+            )
+            if len(candidate):
+                checks += 1
+                if not sim.run(candidate.patterns, faults).undetected:
+                    current = candidate
+                    progressed = True
+                    start -= block
+                    continue
+            start -= max(1, block // 2) if block > 1 else 1
+        if block == 1 and not progressed:
+            break
+        block //= 2
+    return CompactionResult(current, original, len(current), checks)
+
+
+def _outcome(call):
+    """``call()``'s value, or the text of the ValueError it raised."""
+    try:
+        return "ok", call()
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+class TestResumedCompaction:
+    """Hypothesis: resuming each check from a checkpoint of the accepted
+    sequence yields exactly the cycle-0 compaction, on both backends."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        n_pi=st.integers(min_value=1, max_value=5),
+        n_ff=st.integers(min_value=0, max_value=5),
+        n_gates=st.integers(min_value=3, max_value=24),
+        stim_seed=st.integers(min_value=0, max_value=10_000),
+        budget=st.integers(min_value=1, max_value=80),
+    )
+    def test_matches_cycle0_reference(
+        self, seed, n_pi, n_ff, n_gates, stim_seed, budget
+    ):
+        n_gates = max(n_gates, n_ff, 2)
+        circuit = synthesize(
+            SynthSpec("hyp", n_pi, 1, n_ff, n_gates, seed=seed)
+        )
+        rng = random.Random(stim_seed)
+        rows = []
+        for _ in range(rng.randint(1, 40)):
+            if rng.random() < 0.15:
+                rows.append((VX,) * n_pi)
+            else:
+                rows.append(tuple(rng.choice((0, 1, 1, 0, VX)) for _ in range(n_pi)))
+        sequence = TestSequence(rows)
+        faults = all_faults(circuit)
+        full = FaultSimulator(circuit, backend="python").run(rows, faults)
+        targets = list(full.detected)
+        if full.undetected and rng.random() < 0.2:
+            # Not covered: the same ValueError text, after one run.
+            targets.append(rng.choice(full.undetected))
+        rng.shuffle(targets)
+        expected = _outcome(
+            lambda: _cycle0_compaction(circuit, sequence, targets, budget)
+        )
+        for backend in ("python", "vector"):
+            got = _outcome(
+                lambda: compact_sequence(
+                    circuit, sequence, targets, max_simulations=budget,
+                    sim_backend=backend,
+                )
+            )
+            assert got == expected, backend
+
+
+class TestStepCounts:
+    """Test generation and compaction each simulate ``T`` about once:
+    counted in :meth:`IntKernel.step` calls on g208 at flow seed 1."""
+
+    DIGEST = "2ebb33914f436fbbc8e4ff38806f31e7c3d622a7454707415933583ce0da6e16"
+    COMPACTED = "e0a34f9072bd8b05a37ce42481b74c68d47743ededd0898948c0860d7e2196d8"
+
+    def test_generation_steps_once_per_cycle(self, g208, kernel_steps):
+        gen = generate_test_sequence(
+            g208, seed=1, max_len=2000, sim_backend="vector"
+        )
+        assert kernel_steps[0] == len(gen.sequence) == 2000
+        text = "\n".join(
+            (
+                "\n".join(gen.sequence.to_strings()),
+                " ".join(map(fault_name, gen.detected)),
+                " ".join(map(fault_name, gen.undetected)),
+            )
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST
+
+    def test_compaction_resumes_from_checkpoints(self, g208, kernel_steps):
+        gen = generate_test_sequence(
+            g208, seed=1, max_len=2000, sim_backend="vector"
+        )
+        kernel_steps[0] = 0
+        comp = compact_sequence(
+            g208, gen.sequence, gen.detected, max_simulations=60,
+            sim_backend="vector",
+        )
+        # Every check re-simulating from cycle 0 takes 7,395 steps.
+        assert kernel_steps[0] <= 4000
+        assert (comp.original_length, comp.compacted_length) == (2000, 96)
+        assert comp.n_simulations == 60
+        text = "\n".join(comp.sequence.to_strings())
+        assert hashlib.sha256(text.encode()).hexdigest() == self.COMPACTED

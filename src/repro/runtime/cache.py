@@ -15,7 +15,11 @@ One JSON file per artifact under a cache root (default
   the final name.
 * **LRU size cap.**  Reads refresh an entry's mtime; when the cache
   grows past ``max_bytes`` after a write, least-recently-used entries
-  are evicted until it fits.
+  are evicted until it fits.  Writes keep a running total of the bytes
+  under the root (:class:`_Ledger`), seeded by one listing, so the
+  directory is listed again only when that total passes the cap.
+  Processes sharing a root each count their own writes and take in the
+  others' at their next listing.
 * **Chaos-testable.**  An optional
   :class:`~repro.resilience.chaos.ChaosSpec` deterministically
   truncates entries right after they are written, so the
@@ -30,7 +34,9 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import warnings
+import weakref
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, TypeVar
 
@@ -48,6 +54,38 @@ DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 _SUFFIX = ".json"
 
 T = TypeVar("T")
+
+
+class _Ledger:
+    """Bytes under one cache root as this process counts them: the last
+    listing plus every write since.  Writes hold ``lock`` from the stat
+    of the entry they replace to the update, so none is counted twice
+    or lost."""
+
+    __slots__ = ("total", "lock", "__weakref__")
+
+    def __init__(self) -> None:
+        self.total: Optional[int] = None  # None: list at the next write
+        self.lock = threading.Lock()
+
+
+#: The ledger of each cache root, shared by every :class:`ArtifactCache`
+#: of this process on that root and dropped with the last of them, so
+#: caches on one root (say, a server's per-budget contexts) see each
+#: other's writes.
+_LEDGERS: "weakref.WeakValueDictionary[str, _Ledger]" = (
+    weakref.WeakValueDictionary()
+)
+_LEDGERS_LOCK = threading.Lock()
+
+
+def _ledger(root: Path) -> _Ledger:
+    key = os.path.abspath(root)
+    with _LEDGERS_LOCK:
+        ledger = _LEDGERS.get(key)
+        if ledger is None:
+            ledger = _LEDGERS[key] = _Ledger()
+        return ledger
 
 
 class CacheIntegrityWarning(UserWarning):
@@ -73,7 +111,8 @@ class ArtifactCache:
         Cache directory (created on first use); defaults to
         :func:`default_cache_dir`.
     max_bytes:
-        Size cap enforced after each write.
+        Size cap enforced after each write (read at every write, so
+        lowering it evicts at the next one).
     stats:
         Counters to report stores/discards/evictions into.
     chaos:
@@ -101,6 +140,7 @@ class ArtifactCache:
         self.stats = stats if stats is not None else RuntimeStats()
         self.chaos = chaos
         self.tracer = tracer
+        self._ledger = _ledger(self.root)
 
     def _event(self, kind: str, **attrs: object) -> None:
         if self.tracer is not None:
@@ -150,23 +190,35 @@ class ArtifactCache:
         body = json.dumps(
             {"format": CACHE_FORMAT, "key": key, "payload": payload}
         )
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(body)
-            os.replace(tmp, path)
-        except OSError:
-            # An unusable cache root (e.g. --cache-dir pointing at a
-            # file) or a failed write is not an error; the result is
-            # still in hand, the store is just skipped.
+        ledger = self._ledger
+        with ledger.lock:
             try:
-                tmp.unlink(missing_ok=True)
+                self.root.mkdir(parents=True, exist_ok=True)
+                tmp.write_text(body)
+                try:
+                    replaced = path.stat().st_size
+                except FileNotFoundError:
+                    replaced = 0
+                os.replace(tmp, path)
             except OSError:
-                pass
-            return
-        self.stats.cache_stores += 1
-        self._event("cache_store", key=key)
-        self._vandalize(path, key)
-        self._enforce_cap()
+                # An unusable cache root (e.g. --cache-dir pointing at a
+                # file) or a failed write is not an error; the result is
+                # still in hand, the store is just skipped.
+                try:
+                    tmp.unlink(missing_ok=True)
+                except OSError:
+                    pass
+                return
+            self.stats.cache_stores += 1
+            self._event("cache_store", key=key)
+            self._vandalize(path, key)
+            # JSON text is ASCII: its length is the bytes written.  A
+            # truncated or discarded entry only over-counts, which
+            # lists early.
+            if ledger.total is not None:
+                ledger.total += len(body) - replaced
+            if ledger.total is None or ledger.total > self.max_bytes:
+                ledger.total = self._enforce_cap()
 
     # -- chaos --------------------------------------------------------------
 
@@ -199,7 +251,10 @@ class ArtifactCache:
         self.stats.cache_discards += 1
         self._event("cache_discard", entry=path.name, reason=reason)
 
-    def _enforce_cap(self) -> None:
+    def _enforce_cap(self) -> Optional[int]:
+        """List the root, evict least-recently-used entries until the
+        listed bytes fit ``max_bytes``, and return the bytes left (None
+        when the root cannot be listed)."""
         # Several processes may share one cache root (``--cache-dir``),
         # so any entry listed here can vanish at any moment — evicted
         # by a sibling's cap enforcement or discarded as corrupt.  A
@@ -210,7 +265,7 @@ class ArtifactCache:
         try:
             paths = list(self.root.glob(f"*{_SUFFIX}"))
         except OSError:
-            return
+            return None
         for p in paths:
             try:
                 st = p.stat()
@@ -219,7 +274,7 @@ class ArtifactCache:
             entries.append((st.st_mtime, st.st_size, p))
         total = sum(size for _, size, _ in entries)
         if total <= self.max_bytes:
-            return
+            return total
         for _, size, path in sorted(entries):  # oldest mtime first
             try:
                 existed = path.exists()
@@ -232,6 +287,7 @@ class ArtifactCache:
             total -= size
             if total <= self.max_bytes:
                 break
+        return total
 
     def clear(self) -> int:
         """Delete every entry; returns the number removed."""

@@ -55,10 +55,27 @@ def circuit_fingerprint(circuit: Circuit) -> str:
     return fingerprint(write_bench(circuit))
 
 
+_TERNARY_CHARS = bytes.maketrans(b"\x00\x01\x02", b"01x")
+"""Byte ``v`` → the ASCII character of ternary value ``v``."""
+
+
+def _row_text(row: Sequence[Value]) -> bytes:
+    """One stimulus row as ``0``/``1``/``x`` bytes, through a table."""
+    try:
+        raw = bytes(tuple(row))
+    except (TypeError, ValueError):
+        raw = None
+    if raw is None or raw.translate(None, b"\x00\x01\x02"):
+        # Not a row of the ints 0..2: render value by value, which
+        # raises to_char's error for a value that is not ternary.
+        return "".join(to_char(v) for v in row).encode("ascii")
+    return raw.translate(_TERNARY_CHARS)
+
+
 def stimulus_fingerprint(stimulus: Iterable[Sequence[Value]]) -> str:
     """Fingerprint of a stimulus (one ``0``/``1``/``x`` row per cycle)."""
-    rows = "\n".join("".join(to_char(v) for v in row) for row in stimulus)
-    return fingerprint(rows)
+    rows = b"\n".join(_row_text(row) for row in stimulus)
+    return hashlib.sha256(rows).hexdigest()
 
 
 def faults_fingerprint(faults: Iterable[Fault]) -> str:

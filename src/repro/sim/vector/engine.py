@@ -277,9 +277,10 @@ class VectorEngine:
     def _maybe_compact(self, kern: IntKernel, lane_fault: Tuple[Fault, ...]):
         """Repack surviving lanes into fewer words once half the words
         can be dropped.  The halving threshold bounds rebuilds per run
-        to ``log2(words)`` — each rebuild builds a new program and
-        compiles it unless its force layout is still in the step memo,
-        so rebuilding on every dropped word costs more than it saves."""
+        to ``log2(words)`` — each rebuild builds a new program, which
+        starts on the covering code and compiles its own layout once it
+        has run ``TIER_UP_STEPS`` steps, so rebuilding on every dropped
+        word costs more than it saves."""
         if not _fits_half(kern):
             return kern, lane_fault
         return _relane(kern, lane_fault, self.comp, self.flop_pos)

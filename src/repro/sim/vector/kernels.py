@@ -7,15 +7,33 @@ machine; lane ``l`` is ``program.faults[l - 1]``.  Blocks never interact
 (bitwise ops are lane-local), so a multi-block run is exactly
 ``n_blocks`` independent single-stimulus runs.
 
-The kernel compiles :attr:`VectorProgram.flat_ops` — the oracle's own
-topological order — into one straight-line generated function, with
-PI/flip-flop load forces written at its top and branch faults applied
-as ephemeral pin forces inside the gate fold, exactly like
-``_GroupSim._eval_with_pin_forces``.  The generated text depends only
-on the program's force layout, and its force masks are read from a
-per-kernel list, so one compiled function serves every fault list
-with the same layout: :func:`_step_function` keeps the last
-:data:`STEP_MEMO_SIZE` of them per process, keyed by the source text.
+Step code is the circuit's gates in the oracle's own topological order,
+generated as one straight-line function, with PI/flip-flop load forces
+written at its top and branch faults applied as ephemeral pin forces
+inside the gate fold, exactly like ``_GroupSim._eval_with_pin_forces``.
+The generated text depends only on a force layout, and it reads its
+force masks from a per-kernel list filled by site (:class:`StepCode`),
+so one compiled function serves every program whose layout it covers:
+
+* a program starts on its circuit's *covering* code, generated from
+  the layout of the collapsed fault list
+  (:func:`~repro.sim.vector.program.covering`) and compiled at most
+  once per compiled circuit.  Its own lanes' masks go at its own sites
+  and zero masks everywhere else, which is exact because a zero force
+  mask is the identity.  Screens, Ω runs, reverse order, re-laned
+  survivors and pool shards are all subsets of the collapsed list, and
+  most of them stop within a few dozen steps, so they compile nothing;
+* covering code costs more per step, so a program that has run
+  :data:`TIER_UP_STEPS` steps compiles its own layout, and every kernel
+  on it switches code and masks before its next step, keeping its
+  state words;
+* a program with a site or polarity outside the covering layout (say,
+  a branch fault the collapsed list represents by a stem) compiles its
+  own layout at once.
+
+Own-layout functions are compiled through :func:`_step_function`, which
+keeps the last :data:`STEP_MEMO_SIZE` of them per process, keyed by
+the source text.
 
 Detection and state capture replicate the oracle bit for bit:
 
@@ -41,46 +59,81 @@ block whose state repeats (see :mod:`repro.sim.vector.engine`).
 from __future__ import annotations
 
 import functools
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.compile import gate_source
 from repro.sim.values import V0, V1
-from repro.sim.vector.program import VectorProgram
+from repro.sim.vector.program import Site, VectorProgram, covering, covers
 
 WORD_BITS = 64
 """Lanes per machine word.  Lane 0 of each block is the good machine;
 blocks are padded to a whole number of words."""
 
 STEP_MEMO_SIZE = 8
-"""Compiled step functions kept per process (least recently used
-evicted).  Static compaction's repeated survivor layouts fit in a few
-entries; a larger memo keeps more compiled code resident for few extra
-reuses (64 entries: +12% peak RSS on a g208 flow, no faster)."""
+"""Own-layout step functions kept per process (least recently used
+evicted).  Since short-lived fault lists run their circuit's covering
+code, only programs that tier up, and lists the covering layout does
+not cover, compile here; a few entries catch their repeats.  A larger
+memo kept more compiled code resident for few extra reuses (64
+entries: +12% peak RSS on a g208 flow, no faster)."""
+
+TIER_UP_STEPS = 128
+"""Kernel steps a covered program runs on its circuit's covering code
+before it compiles its own layout.  Covering code costs more per step
+(it evaluates a zero-mask force at every covering site), an own-layout
+compile a fixed amount.  They break even after 89-137 steps for 16-
+and 60-fault samples of the g208, g641 and g1423 collapsed lists
+(EXPERIMENTS E22)."""
+
+Slot = Tuple[Tuple[Site, int], bool]
+"""One mask the step code reads: ``((site, stuck), negate)``."""
+
+
+class StepCode:
+    """A compiled step function and where its masks come from.
+
+    ``fn(O, Z, M)`` reads mask ``M[i]`` for ``slots[i]``.  ``zeros`` is
+    the mask list of a program with no force at any slot (``0``, or
+    ``~0`` where negated), and ``where`` maps each site to its slots'
+    ``(i, stuck, negate)``, so a kernel fills in only its program's own
+    sites.
+    """
+
+    __slots__ = ("fn", "zeros", "where")
+
+    def __init__(self, fn: Callable, slots: Tuple[Slot, ...]) -> None:
+        self.fn = fn
+        self.zeros = [-1 if negate else 0 for _, negate in slots]
+        where: Dict[Site, List[Tuple[int, int, bool]]] = {}
+        for i, ((site, stuck), negate) in enumerate(slots):
+            where.setdefault(site, []).append((i, stuck, negate))
+        self.where = where
 
 
 def _forced(
-    o: str, z: str, f0: int, f1: int, m: Callable[..., str]
+    o: str, z: str, site: Site, polarities: int, m: Callable[..., str]
 ) -> Tuple[str, str]:
     """Force expressions for one site's ``(ones, zeros)`` operands.
 
     Only the polarities the site carries are written: stuck-at-1 lanes
     give ``o|f1``, ``z&~f1``; stuck-at-0 lanes give ``o&~f0``,
     ``z|f0``; a site with both keeps the oracle's pair.  ``o`` and
-    ``z`` must be atoms or parenthesized.  ``m(value, negate=False)``
-    records a mask and returns the name it is read by.
+    ``z`` must be atoms or parenthesized.  ``m(site, stuck,
+    negate=False)`` records a mask slot and returns the name it is read
+    by.
     """
-    if f0 and f1:
+    if polarities == 3:
         return (
-            f"(({o}|{m(f1)})&{m(f0, True)})",
-            f"(({z}|{m(f0)})&{m(f1, True)})",
+            f"(({o}|{m(site, 1)})&{m(site, 0, True)})",
+            f"(({z}|{m(site, 0)})&{m(site, 1, True)})",
         )
-    if f1:
-        return f"({o}|{m(f1)})", f"({z}&{m(f1, True)})"
-    return f"({o}&{m(f0, True)})", f"({z}|{m(f0)})"
+    if polarities == 2:
+        return f"({o}|{m(site, 1)})", f"({z}&{m(site, 1, True)})"
+    return f"({o}&{m(site, 0, True)})", f"({z}|{m(site, 0)})"
 
 
-def _step_source(program: VectorProgram) -> Tuple[str, Tuple[Tuple[int, bool], ...]]:
-    """Generate the unrolled step source for ``program``.
+def _step_source(program: VectorProgram) -> Tuple[str, Tuple[Slot, ...]]:
+    """Generate the unrolled step source for ``program``'s force layout.
 
     One straight-line Python function with constant row indices replaces
     the interpreted op loop — no per-op tuple unpacking or opcode
@@ -89,43 +142,54 @@ def _step_source(program: VectorProgram) -> Tuple[str, Tuple[Tuple[int, bool], .
     already loaded PI and flip-flop rows, then evaluates every gate with
     its pin and stem forces.
 
-    Returns ``(source, mask_plan)``.  The source names each force mask
-    ``M[i]``; the kernel materializes ``M[i]`` from ``mask_plan[i] =
-    (value, negate)`` as the block-replicated ``value``, complemented
-    when ``negate``.  So the source depends only on the force *layout*
-    (which rows and pins carry which polarities) — never on the lanes
-    or the block count — and fault lists sharing a layout share one
-    compiled function (:func:`_step_function`).
+    Returns ``(source, slots)``.  The source names each force mask
+    ``M[i]``, to be read from the running program's mask at site and
+    stuck value ``slots[i][0]``, complemented when ``slots[i][1]``.  So
+    the source depends only on the force *layout* (which rows and pins
+    carry which polarities) — never on the lanes, the block count or
+    the mask values — and every program whose layout it covers can run
+    it (:class:`StepCode`).
     """
-    masks: List[Tuple[int, bool]] = []
+    comp = program.comp
+    forces = program.forces
+    slots: List[Slot] = []
 
-    def m(value: int, negate: bool = False) -> str:
-        masks.append((value, negate))
-        return f"M[{len(masks) - 1}]"
+    def m(site: Site, stuck: int, negate: bool = False) -> str:
+        slots.append(((site, stuck), negate))
+        return f"M[{len(slots) - 1}]"
 
     lines = ["def _step_ops(O, Z, M):"]
-    for row, f0, f1 in program.load_forces:
-        oexpr, zexpr = _forced(f"O[{row}]", f"Z[{row}]", f0, f1, m)
+    op_rows = {out for _, out, _ in comp.ops}
+    loaded = sorted(
+        site for site in forces if isinstance(site, int) and site not in op_rows
+    )
+    for row in loaded:
+        oexpr, zexpr = _forced(
+            f"O[{row}]", f"Z[{row}]", row, program.polarities(row), m
+        )
         lines.append(f" O[{row}] = {oexpr}")
         lines.append(f" Z[{row}] = {zexpr}")
-    for opcode, out, fanins, stem, pf in program.flat_ops:
+    for opcode, out, fanins in comp.ops:
         fo = []
         fz = []
         for k, f in enumerate(fanins):
             oe = f"O[{f}]"
             ze = f"Z[{f}]"
-            if pf is not None and k in pf:
-                oe, ze = _forced(oe, ze, *pf[k], m)
+            pin = (out, k)
+            if pin in forces:
+                oe, ze = _forced(oe, ze, pin, program.polarities(pin), m)
             fo.append(oe)
             fz.append(ze)
         statements, oexpr, zexpr = gate_source(opcode, fo, fz)
         lines.extend(" " + statement for statement in statements)
-        if stem is not None:
-            oexpr, zexpr = _forced(f"({oexpr})", f"({zexpr})", *stem, m)
+        if out in forces:
+            oexpr, zexpr = _forced(
+                f"({oexpr})", f"({zexpr})", out, program.polarities(out), m
+            )
         lines.append(f" O[{out}] = {oexpr}")
         lines.append(f" Z[{out}] = {zexpr}")
     lines.append(" pass")
-    return "\n".join(lines), tuple(masks)
+    return "\n".join(lines), tuple(slots)
 
 
 @functools.lru_cache(maxsize=STEP_MEMO_SIZE)
@@ -134,13 +198,47 @@ def _step_function(source: str):
 
     Keyed by the source text, so every program, engine, simulator and
     pool worker in the process reuses a function whose force layout it
-    has already compiled (static compaction rebuilds the same survivor
-    layouts many times).  The memo holds code only; mask values stay
+    has already compiled.  The memo holds code only; mask values stay
     per kernel.
     """
     namespace: dict = {}
     exec(compile(source, "<vector-int-step>", "exec"), namespace)
     return namespace["_step_ops"]
+
+
+def _own_code(program: VectorProgram) -> StepCode:
+    """Step code compiled from ``program``'s own layout."""
+    source, slots = _step_source(program)
+    return StepCode(_step_function(source), slots)
+
+
+def _start(program: VectorProgram) -> None:
+    """Choose the code a program starts on.
+
+    A program whose layout its circuit's covering layout carries starts
+    on the covering code, compiled at most once per compiled circuit;
+    when the layouts are equal, that code is its own.  Any other
+    program compiles its own layout at once.
+    """
+    cover = covering(program.comp)
+    if not covers(cover, program):
+        program.code = _own_code(program)
+        program.own = True
+        return
+    if cover.code is None:
+        cover.code = _own_code(cover)
+        cover.own = True
+    program.code = cover.code
+    program.own = len(program.forces) == len(cover.forces) and all(
+        program.polarities(site) == cover.polarities(site)
+        for site in program.forces
+    )
+
+
+def _tier_up(program: VectorProgram) -> None:
+    """Move a covered program to code compiled from its own layout."""
+    program.code = _own_code(program)
+    program.own = True
 
 
 class IntKernel:
@@ -161,18 +259,15 @@ class IntKernel:
         for mask in self._block_fault:
             self.fault_lanes |= mask
         self.active = self.fault_lanes
+        # A block-0 mask times ``seed`` is that mask in every block.
+        self._seed = self.full // ((1 << p) - 1)
 
-        rep = self._replicate
-        if program.step_code is None:
-            program.step_code = _step_source(program)
-        source, mask_plan = program.step_code
-        self._step_ops = _step_function(source)
-        self._M = [
-            ~rep(value) if negate else rep(value)
-            for value, negate in mask_plan
-        ]
+        if program.code is None:
+            _start(program)
+        self._load_code()
+        seed = self._seed
         self._ff_capture = {
-            slot: (rep(f0), rep(f1))
+            slot: (f0 * seed, f1 * seed)
             for slot, (f0, f1) in program.ff_capture.items()
         }
         n_ff = len(program.ff_rows)
@@ -181,11 +276,20 @@ class IntKernel:
         self.O = [0] * program.n_circuit_rows
         self.Z = [0] * program.n_circuit_rows
 
-    def _replicate(self, mask: int) -> int:
-        out = 0
-        for b in range(self.n_blocks):
-            out |= mask << (b * self.block_bits)
-        return out
+    def _load_code(self) -> None:
+        """Run the program's current step code, with the program's masks
+        at its own sites and zero masks at every other slot."""
+        code = self.program.code
+        seed = self._seed
+        masks = list(code.zeros)
+        where = code.where
+        for site, pair in self.program.forces.items():
+            for i, stuck, negate in where[site]:
+                value = pair[stuck] * seed
+                masks[i] = ~value if negate else value
+        self._code = code
+        self._step_ops = code.fn
+        self._M = masks
 
     def block_fault_mask(self, block: int) -> int:
         return self._block_fault[block]
@@ -224,8 +328,8 @@ class IntKernel:
             for lane, st in enumerate(lane_states):
                 o |= st[slot][0] << lane
                 z |= st[slot][1] << lane
-            self.S_O[slot] = self._replicate(o)
-            self.S_Z[slot] = self._replicate(z)
+            self.S_O[slot] = o * self._seed
+            self.S_Z[slot] = z * self._seed
 
     # -- stepping ----------------------------------------------------------
 
@@ -233,9 +337,16 @@ class IntKernel:
         """Apply one (already validated) pattern per block; ``None`` feeds X.
 
         Returns the newly detected lane mask and removes it from
-        :attr:`active`.
+        :attr:`active`.  A covered program past :data:`TIER_UP_STEPS`
+        compiles its own layout first; every kernel on it then switches
+        code and masks, and keeps its state words.
         """
         prog = self.program
+        if not prog.own and prog.steps >= TIER_UP_STEPS:
+            _tier_up(prog)
+        if prog.code is not self._code:
+            self._load_code()
+        prog.steps += self.n_blocks
         full = self.full
         O = self.O
         Z = self.Z

@@ -13,25 +13,35 @@ Stem faults on constant nets are dropped: the pure-Python engine
 rewrites constant rows after applying stem forces, so such forces are
 silently inert there, and the vector backend must agree.
 
-The schedule, :attr:`VectorProgram.flat_ops`, is the oracle's
-topological op order with per-op stem/pin forces (same shape as
-``_GroupSim._ops``, so the kernel's evaluation is a line-for-line
-mirror).
+A force is a pair of lane masks ``(f0, f1)``, one per stuck value, kept
+in :attr:`VectorProgram.forces` by *site*: a stem site is the net's
+row, a pin site is ``(gate_row, pin)``.  Which sites carry a non-zero
+``f0`` or ``f1`` is the program's *force layout*.  The kernel's
+generated step code depends on the layout alone and looks each
+program's masks up by site, so the same faults in another order, or a
+program rebuilt for the same survivors, run the same compiled code.
 
-A force is a pair of lane masks ``(f0, f1)``, one per stuck value.
-Which rows and pins carry a non-zero ``f0`` or ``f1`` is the program's
-*force layout*.  The kernel's generated step code depends on the
-layout alone and lane numbers live only in the mask values, so the
-same faults in another order, or a program rebuilt for the same
-survivors, run the same compiled code.
+A zero mask is the identity (``(o | 0) & ~0 == o``), so code generated
+for a larger layout runs a smaller one exactly, with zero masks at the
+sites the smaller one does not use.  :func:`covering` gives every
+compiled circuit one such larger layout, that of its collapsed fault
+list, which covers every list a flow simulates (see
+:mod:`repro.sim.vector.kernels`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.sim.collapse import collapse_faults
 from repro.sim.compile import CompiledCircuit
 from repro.sim.faults import Fault
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.vector.kernels import StepCode
+
+Site = Union[int, Tuple[int, int]]
+"""A force site: a stem's row, or ``(gate_row, pin)`` for a pin."""
 
 
 class VectorProgram:
@@ -42,8 +52,7 @@ class VectorProgram:
         "faults",
         "lanes",
         "n_circuit_rows",
-        "flat_ops",
-        "load_forces",
+        "forces",
         "ff_capture",
         "pi_rows",
         "ff_rows",
@@ -51,7 +60,9 @@ class VectorProgram:
         "ff_next_rows",
         "const0_rows",
         "const1_rows",
-        "step_code",
+        "code",
+        "own",
+        "steps",
     )
 
     def __init__(self, comp: CompiledCircuit, faults: Tuple[Fault, ...]) -> None:
@@ -66,12 +77,20 @@ class VectorProgram:
         self.const0_rows = comp.const0_indices
         self.const1_rows = comp.const1_indices
         # Filled by build_program:
-        self.flat_ops: Tuple = ()
-        self.load_forces: Tuple[Tuple[int, int, int], ...] = ()
+        self.forces: Dict[Site, Tuple[int, int]] = {}
         self.ff_capture: Dict[int, Tuple[int, int]] = {}
-        # (source, mask_plan) of the generated step: filled by the first
-        # kernel built on this program and shared by the rest.
-        self.step_code: Optional[Tuple[str, Tuple[Tuple[int, bool], ...]]] = None
+        # The step code every kernel on this program runs, chosen by the
+        # first kernel built on it; ``own`` once it is compiled from this
+        # program's own layout.  ``steps`` counts kernel steps, a step of
+        # an n-block kernel counting n.  See repro.sim.vector.kernels.
+        self.code: Optional["StepCode"] = None
+        self.own = False
+        self.steps = 0
+
+    def polarities(self, site: Site) -> int:
+        """Bit 0 set if ``site`` forces any lane to 0, bit 1 if to 1."""
+        f0, f1 = self.forces[site]
+        return (f0 != 0) | (f1 != 0) << 1
 
 
 def build_program(
@@ -83,48 +102,48 @@ def build_program(
     prog = VectorProgram(comp, tuple(faults))
     const_rows = set(comp.const0_indices) | set(comp.const1_indices)
 
-    stem_force: Dict[int, List[int]] = {}  # row -> [f0_mask, f1_mask]
-    pin_force: Dict[int, Dict[int, List[int]]] = {}  # gate row -> pin -> masks
+    forces: Dict[Site, List[int]] = {}
     ff_capture: Dict[int, List[int]] = {}
     for offset, fault in enumerate(prog.faults):
         bit = 1 << (offset + 1)
         if fault.is_branch and fault.gate in flop_pos:
             slot = ff_capture.setdefault(flop_pos[fault.gate], [0, 0])
         elif fault.is_branch:
-            gate_row = comp.index[fault.gate]
-            slot = pin_force.setdefault(gate_row, {}).setdefault(
-                fault.pin, [0, 0]
-            )
+            slot = forces.setdefault((comp.index[fault.gate], fault.pin), [0, 0])
         else:
             row = comp.index[fault.net]
             if row in const_rows:
                 continue  # inert in the oracle: const rows are rewritten
-            slot = stem_force.setdefault(row, [0, 0])
+            slot = forces.setdefault(row, [0, 0])
         slot[fault.stuck] |= bit
 
+    prog.forces = {site: (f0, f1) for site, (f0, f1) in forces.items()}
     prog.ff_capture = {s: (f0, f1) for s, (f0, f1) in ff_capture.items()}
-
-    op_rows = {out for _, out, _ in comp.ops}
-    prog.load_forces = tuple(
-        sorted(
-            (row, f0, f1)
-            for row, (f0, f1) in stem_force.items()
-            if row not in op_rows
-        )
-    )
-
-    prog.flat_ops = tuple(
-        (
-            opcode,
-            out,
-            fanins,
-            tuple(stem_force[out]) if out in stem_force else None,
-            (
-                {pin: (f0, f1) for pin, (f0, f1) in pin_force[out].items()}
-                if out in pin_force
-                else None
-            ),
-        )
-        for opcode, out, fanins in comp.ops
-    )
     return prog
+
+
+def covering(comp: CompiledCircuit) -> VectorProgram:
+    """The program of ``comp``'s collapsed fault list, built on first use.
+
+    Its layout is the one every covered program starts on.  It is kept
+    on ``comp`` itself (as :func:`functools.cached_property` would keep
+    it), so it is dropped with the compiled circuit, and so is its step
+    code, apart from the entry the step-function memo may keep a while
+    longer, as it does for any layout.
+    """
+    cover = getattr(comp, "_vector_cover", None)
+    if cover is None:
+        circuit = comp.circuit
+        flop_pos = {name: i for i, name in enumerate(circuit.flops)}
+        cover = build_program(comp, flop_pos, collapse_faults(circuit))
+        object.__setattr__(comp, "_vector_cover", cover)
+    return cover
+
+
+def covers(cover: VectorProgram, prog: VectorProgram) -> bool:
+    """Does ``cover``'s layout carry every site and polarity of ``prog``'s?"""
+    have = cover.forces
+    return all(
+        site in have and not prog.polarities(site) & ~cover.polarities(site)
+        for site in prog.forces
+    )

@@ -9,11 +9,15 @@ and still reproduces the cold results exactly).
 
 from __future__ import annotations
 
+import hashlib
 import json
+import random
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.atpg import AtpgConfig
 from repro.atpg import driver as atpg_driver
@@ -30,6 +34,7 @@ from repro.runtime import (
     stimulus_fingerprint,
 )
 from repro.sim import FaultSimulator, collapse_faults
+from repro.sim.values import to_char
 from repro.sim.vector.kernels import IntKernel
 from repro.tgen import compact_sequence
 from repro.tgen.compaction import compaction_key
@@ -128,6 +133,55 @@ def test_key_changes_with_each_ingredient(
     assert by_vector == by_python
 
 
+def _stimulus_fingerprint_per_value(stimulus):
+    """The value-by-value formula the table-driven fingerprint keeps."""
+    rows = "\n".join("".join(to_char(v) for v in row) for row in stimulus)
+    return hashlib.sha256(rows.encode("utf-8")).hexdigest()
+
+
+_ROWS = st.lists(
+    st.lists(st.sampled_from([0, 1, 2]), max_size=40), max_size=60
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stimulus=_ROWS, as_tuples=st.booleans())
+def test_stimulus_fingerprint_matches_per_value_formula(stimulus, as_tuples):
+    """Random ternary stimuli, empty stimuli and empty rows hash as the
+    value-by-value rendering did, so existing cache keys stay valid."""
+    if as_tuples:
+        stimulus = [tuple(row) for row in stimulus]
+    assert stimulus_fingerprint(stimulus) == _stimulus_fingerprint_per_value(
+        stimulus
+    )
+
+
+def test_stimulus_fingerprint_edge_cases():
+    for stimulus in ([], [[]], [[], []], [(1, 0, 2)], [[True, False]]):
+        assert stimulus_fingerprint(
+            stimulus
+        ) == _stimulus_fingerprint_per_value(stimulus)
+    long_rows = [
+        [random.Random(u).choice([0, 1, 2]) for _ in range(36)]
+        for u in range(2000)
+    ]
+    assert stimulus_fingerprint(
+        long_rows
+    ) == _stimulus_fingerprint_per_value(long_rows)
+
+
+@pytest.mark.parametrize(
+    "bad", [3, -1, 7, 10, 255, 256, 2**70, "0", "x", None, 0.5]
+)
+def test_stimulus_fingerprint_rejects_non_ternary_values(bad):
+    stimulus = [[0, 1], [1, bad, 0]]
+    with pytest.raises(ValueError) as expected:
+        _stimulus_fingerprint_per_value(stimulus)
+    with pytest.raises(ValueError) as raised:
+        stimulus_fingerprint(stimulus)
+    assert str(raised.value) == str(expected.value)
+
+
 def test_faults_fingerprint_is_order_insensitive(s27_faults):
     forward = faults_fingerprint(s27_faults)
     assert faults_fingerprint(list(reversed(s27_faults))) == forward
@@ -201,6 +255,55 @@ def test_lru_eviction(tmp_path):
     assert len(cache) < 6
     # Survivors are the most recently written.
     assert cache.get("key5") is not None
+
+
+@pytest.fixture
+def listings(monkeypatch):
+    """Counts directory listings (``Path.glob``) per listed directory."""
+    counts = {}
+    glob = Path.glob
+
+    def counted(self, pattern, *args, **kwargs):
+        counts[self] = counts.get(self, 0) + 1
+        return glob(self, pattern, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "glob", counted)
+    return counts
+
+
+def test_puts_under_cap_list_once(tmp_path, listings):
+    """Puts under the cap keep a running total instead of listing the
+    directory; a cap lowered later still evicts at the next put."""
+    cache = ArtifactCache(tmp_path, max_bytes=10**6)
+    for i in range(50):
+        cache.put(f"key{i}", {"blob": "x" * 40, "i": i})
+    cache.put("key7", {"blob": "y" * 400})  # a rewrite counts its growth
+    assert listings == {tmp_path: 1}
+    assert cache.stats.cache_evictions == 0
+    on_disk = sum(p.stat().st_size for p in tmp_path.iterdir())
+    assert cache._ledger.total == on_disk
+    cache.max_bytes = on_disk // 2
+    cache.put("trigger", {"blob": "z"})
+    assert listings == {tmp_path: 2}
+    assert cache.stats.cache_evictions > 0
+    assert sum(p.stat().st_size for p in tmp_path.iterdir()) <= on_disk // 2
+    assert cache.get("trigger") is not None
+
+
+def test_caches_on_one_root_share_a_running_total(tmp_path, listings):
+    """A second cache on the same root counts on from the first one's
+    listing, and each sees the other's writes against its cap."""
+    first = ArtifactCache(tmp_path, max_bytes=10**6)
+    for i in range(4):
+        first.put(f"a{i}", {"blob": "x" * 100})
+    second = ArtifactCache(tmp_path, max_bytes=10**6)
+    for i in range(4):
+        second.put(f"b{i}", {"blob": "x" * 100})
+    assert listings == {tmp_path: 1}
+    first.max_bytes = sum(p.stat().st_size for p in tmp_path.iterdir()) - 1
+    first.put("a0", {"blob": "x" * 100})  # same size: only b's push it over
+    assert listings == {tmp_path: 2}
+    assert first.stats.cache_evictions == 1
 
 
 def test_corrupted_cache_resimulates_correctly(tmp_path, s27, s27_faults, paper_t):

@@ -9,8 +9,10 @@ by hypothesis over random synthetic circuits, over the bundled
 at the word-width boundaries of the lane packing, for fault lists that
 share one compiled step function, for the consumers of
 :meth:`FaultSimulator.output_responses` (MISR grading and fault
-dictionaries), and for periodic (weighted) stimuli, which the vector
-engine stops simulating once their state repeats.
+dictionaries), for periodic (weighted) stimuli, which the vector
+engine stops simulating once their state repeats, and for fault lists
+that start on their circuit's covering step code and switch to their
+own layout's code mid-call.
 """
 
 from __future__ import annotations
@@ -25,8 +27,10 @@ from repro.circuit import parse_bench
 from repro.circuit.library import load_circuit
 from repro.circuit.synth import SynthSpec, synthesize
 from repro.core.assignment import WeightAssignment
+from repro.core.procedure import ProcedureConfig
 from repro.diag import FaultDictionary
 from repro.errors import SimulationError
+from repro.flows.full_flow import FlowConfig, run_full_flow
 from repro.hw import signature_coverage
 from repro.sim import (
     VX,
@@ -38,14 +42,16 @@ from repro.sim import (
 )
 from repro.sim.faults import FaultPruner, all_faults
 from repro.sim.faultsim import GROUP_FAULTS
-from repro.sim.vector import WORD_BITS, build_program
+from repro.sim.vector import WORD_BITS, build_program, kernels
 from repro.sim.vector.engine import VectorEngine, VectorIncremental
 from repro.sim.vector.kernels import (
     STEP_MEMO_SIZE,
+    TIER_UP_STEPS,
     IntKernel,
     _step_function,
     _step_source,
 )
+from repro.sim.vector.program import covering, covers
 from repro.tgen.random_tgen import generate_test_sequence
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -623,9 +629,11 @@ class TestStepMemo:
     def test_layout_reuse_is_mask_safe(self):
         """A fault list and its reverse have one layout but different
         lanes: the second run reuses the first one's compiled step with
-        its own masks and still matches the oracle."""
+        its own masks and still matches the oracle.  The full universe
+        has branch faults outside the covering layout, so both runs
+        take the own-layout path."""
         circuit = load_circuit("g208")
-        faults = collapse_faults(circuit)
+        faults = all_faults(circuit)
         rng = random.Random(29)
         stimulus = _random_stimulus(rng, len(circuit.inputs), 30)
         _step_function.cache_clear()
@@ -637,7 +645,8 @@ class TestStepMemo:
             _assert_same_result(oracle, vector)
         assert _step_function.cache_info().hits > before.hits
         assert _step_function.cache_info().misses == before.misses == 1
-        # With fault dropping, compaction rebuilds run on the memo too.
+        # With fault dropping, compaction rebuilds agree too, on the memo
+        # or, when their survivors fit the covering layout, on that.
         for fault_list in (faults, faults[::-1]):
             _assert_same_result(*_run_both(circuit, stimulus, fault_list))
 
@@ -704,7 +713,10 @@ class TestStepMemo:
 
     def test_memo_is_bounded(self):
         circuit = load_circuit("s27")
-        faults = all_faults(circuit)
+        # Faults the collapsed list does not represent lie outside the
+        # covering layout, so each compiles its own layout.
+        collapsed = set(collapse_faults(circuit))
+        faults = [f for f in all_faults(circuit) if f not in collapsed]
         assert len(faults) > STEP_MEMO_SIZE
         stimulus = [[0, 1, 0, 1], [1, 1, 0, 0]]
         sim = FaultSimulator(circuit, backend="vector")
@@ -750,6 +762,42 @@ class TestResponseConsumers:
         narrow = outcomes["vector"][1][0]
         # The short register exercises every verdict but "undetected".
         assert narrow.detected and narrow.aliased and narrow.unknown
+
+    def test_parity_across_the_tier_up(self, monkeypatch, tier_ups):
+        """g208, a sample of its collapsed list (the whole list is the
+        covering layout itself) and windows longer than
+        ``TIER_UP_STEPS``: the no-drop pass behind both consumers starts
+        on the covering code and switches to the sample's own layout
+        mid-pass."""
+        circuit = load_circuit("g208")
+        faults = collapse_faults(circuit)[::2]
+        rng = random.Random(31)
+        length = TIER_UP_STEPS + 72
+        stimuli = [
+            [
+                [rng.choice([0, 1, 2] if window == 0 else [0, 1])
+                 for _ in circuit.inputs]
+                for _ in range(length)
+            ]
+            for window in range(3)
+        ]
+        outcomes = {}
+        for backend in ("python", "vector"):
+            monkeypatch.setenv("REPRO_SIM_BACKEND", backend)
+            dictionary = FaultDictionary.build(circuit, stimuli[0], faults)
+            outcomes[backend] = (
+                [dictionary.syndrome(f) for f in dictionary.faults],
+                [
+                    signature_coverage(circuit, stimuli, faults, misr_width=w)
+                    for w in (2, 8)
+                ],
+            )
+        assert outcomes["python"] == outcomes["vector"]
+        # One tier-up per pass: the dictionary's, and each grading's
+        # first window (later windows reuse the memoized program).
+        assert [steps for _, steps in tier_ups] == [TIER_UP_STEPS] * 3
+        wide = outcomes["vector"][1][1]
+        assert wide.detected and len(wide.detected) < len(faults)
 
 
 # -- periodic stimuli ---------------------------------------------------------
@@ -1013,3 +1061,305 @@ class TestPeriodicStopFires:
             kernel_steps[0] = 0
             sim.run(t, faults, **kw)
             assert kernel_steps[0] == len(t), kw
+
+
+# -- covering step code and tier-up -------------------------------------------
+
+
+@pytest.fixture
+def tier_ups(monkeypatch):
+    """Records ``(program, steps)`` for every program that tiers up."""
+    seen = []
+    tier_up = kernels._tier_up
+
+    def recorded(program):
+        seen.append((program, program.steps))
+        tier_up(program)
+
+    monkeypatch.setattr(kernels, "_tier_up", recorded)
+    return seen
+
+
+@pytest.fixture
+def step_compiles(monkeypatch):
+    """Counts compiled step functions (the kernel module's ``compile``)."""
+    count = [0]
+
+    def counted(source, filename, mode):
+        count[0] += 1
+        return compile(source, filename, mode)
+
+    _step_function.cache_clear()
+    monkeypatch.setattr(kernels, "compile", counted, raising=False)
+    return count
+
+
+def _engine_program(sim, faults):
+    """The vector engine's memoized program for ``faults``."""
+    return sim._vector_engine()._programs[tuple(faults)]
+
+
+class TestTierUp:
+    """Hypothesis: a covered fault list starts on its circuit's covering
+    step code and switches to its own layout's code after
+    ``TIER_UP_STEPS`` steps, mid-call, on every entry point; every
+    answer equals the oracle's, errors included."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        n_pi=st.integers(min_value=1, max_value=4),
+        n_po=st.integers(min_value=1, max_value=3),
+        n_ff=st.integers(min_value=0, max_value=5),
+        n_gates=st.integers(min_value=2, max_value=30),
+        stim_seed=st.integers(min_value=0, max_value=10_000),
+        extra=st.integers(min_value=1, max_value=60),
+        period=st.integers(min_value=1, max_value=40),
+        weighted=st.booleans(),
+    )
+    def test_backends_agree(
+        self, seed, n_pi, n_po, n_ff, n_gates, stim_seed, extra, period,
+        weighted,
+    ):
+        n_gates = max(n_gates, n_ff, n_po)
+        circuit = synthesize(
+            SynthSpec("hyp", n_pi, n_po, n_ff, n_gates, seed=seed)
+        )
+        rng = random.Random(stim_seed)
+        collapsed = collapse_faults(circuit)
+        faults = [f for f in collapsed if rng.random() < 0.6] or collapsed[:1]
+        stimuli = []
+        for _ in range(3):
+            length = TIER_UP_STEPS + rng.randint(1, extra)
+            if weighted:
+                stimuli.append(_weighted_stimulus(
+                    rng, n_pi, length, period, ternary=rng.random() < 0.2
+                ))
+            else:
+                stimuli.append([
+                    [rng.choice([0, 1, 2]) for _ in range(n_pi)]
+                    for _ in range(length)
+                ])
+        oracle = FaultSimulator(circuit, backend="python")
+        vector = FaultSimulator(circuit, backend="vector")
+        for stimulus in stimuli:
+            for kw in RUN_KWARGS:
+                _assert_same_result(
+                    oracle.run(stimulus, faults, **kw),
+                    vector.run(stimulus, faults, **kw),
+                    f"weighted={weighted} {kw}",
+                )
+        for early in (True, False):
+            for a, b in zip(
+                oracle.run_batch(stimuli, faults, stop_when_all_detected=early),
+                vector.run_batch(stimuli, faults, stop_when_all_detected=early),
+            ):
+                _assert_same_result(a, b, f"batch early={early}")
+        first = oracle.run(stimuli[0], faults)
+        sample = list(first.undetected[:8]) + list(first.detected[:1])
+        verdicts = [oracle.detects_any(s, sample) for s in stimuli]
+        assert [vector.detects_any(s, sample) for s in stimuli] == verdicts
+        assert vector.detects_any_batch(stimuli, sample) == verdicts
+        assert oracle.output_responses(
+            stimuli[0], faults
+        ) == vector.output_responses(stimuli[0], faults)
+        # output_responses steps every cycle: past the threshold the
+        # list runs its own layout.
+        assert _engine_program(vector, faults).own
+
+        inc_py = IncrementalFaultSimulator(circuit, faults, backend="python")
+        inc_vec = IncrementalFaultSimulator(circuit, faults, backend="vector")
+        snaps = None
+        for u, pattern in enumerate(stimuli[0]):
+            if u % 3 == 0:
+                cands = [
+                    stimuli[1][u % len(stimuli[1])],
+                    pattern,
+                    stimuli[2][u % len(stimuli[2])],
+                ]
+                assert inc_py.step_best(cands) == inc_vec.step_best(cands)
+            else:
+                assert inc_py.peek(pattern) == inc_vec.peek(pattern)
+                assert inc_py.step(pattern) == inc_vec.step(pattern)
+            if u == 40:
+                snaps = (inc_py.snapshot(), inc_vec.snapshot(), u)
+            if u == 90:
+                inc_py.regroup()
+                inc_vec.regroup()
+            assert inc_py.remaining_faults() == inc_vec.remaining_faults()
+        # Back to a state taken on the covering code, replayed on
+        # whatever code its kernel's program runs now.
+        inc_py.restore(snaps[0])
+        inc_vec.restore(snaps[1])
+        for pattern in stimuli[1][snaps[2] + 1 :]:
+            assert inc_py.step(pattern) == inc_vec.step(pattern)
+        assert inc_py.remaining_faults() == inc_vec.remaining_faults()
+
+        # A malformed pattern after the tier-up raises the oracle's error.
+        for bad in ([0] * (n_pi + 1), [7] * n_pi):
+            stimulus = stimuli[0] + [bad]
+
+            def calls(backend):
+                sim = FaultSimulator(circuit, backend=backend)
+                inc = IncrementalFaultSimulator(circuit, faults, backend=backend)
+                return [
+                    *(
+                        _outcome(lambda kw=kw: sim.run(stimulus, faults, **kw))
+                        for kw in RUN_KWARGS
+                    ),
+                    _outcome(lambda: sim.output_responses(stimulus, faults)),
+                    _outcome(lambda: [inc.step(p) for p in stimulus]),
+                ]
+
+            assert calls("vector") == calls("python")
+
+        # A list with a site outside the covering layout compiles its own
+        # layout at once, and also agrees.
+        comp = vector.comp
+        flop_pos = {net: i for i, net in enumerate(circuit.flops)}
+        outside = [
+            f for f in all_faults(circuit) if not covers(
+                covering(comp), build_program(comp, flop_pos, [f])
+            )
+        ]
+        if outside:
+            mixed = faults + outside[:2]
+            for kw in RUN_KWARGS[:2]:
+                _assert_same_result(
+                    oracle.run(stimuli[1], mixed, **kw),
+                    vector.run(stimuli[1], mixed, **kw),
+                )
+            program = _engine_program(vector, mixed)
+            assert program.own and program.code is not covering(comp).code
+
+    def test_tier_up_mid_pass(self, tier_ups):
+        """A 300-cycle no-drop pass on a g208 sample switches code once,
+        after exactly ``TIER_UP_STEPS`` cycles."""
+        circuit = load_circuit("g208")
+        faults = collapse_faults(circuit)[::4]
+        rng = random.Random(41)
+        stimulus = [
+            [rng.choice([0, 1]) for _ in circuit.inputs] for _ in range(300)
+        ]
+        vector = FaultSimulator(circuit, backend="vector")
+        assert vector.output_responses(stimulus, faults) == FaultSimulator(
+            circuit, backend="python"
+        ).output_responses(stimulus, faults)
+        program = _engine_program(vector, faults)
+        assert tier_ups == [(program, TIER_UP_STEPS)]
+        assert program.steps == len(stimulus)
+
+    def test_blocks_count_as_steps(self, tier_ups):
+        """A 16-block kernel step counts 16: a batch of 16 stimuli tiers
+        up in its eighth cycle, and still agrees."""
+        circuit = load_circuit("g208")
+        faults = collapse_faults(circuit)[1::5]
+        rng = random.Random(43)
+        stimuli = [
+            [[rng.choice([0, 1]) for _ in circuit.inputs] for _ in range(20)]
+            for _ in range(16)
+        ]
+        oracle = FaultSimulator(circuit, backend="python")
+        vector = FaultSimulator(circuit, backend="vector")
+        for a, b in zip(
+            oracle.run_batch(stimuli, faults, stop_when_all_detected=False),
+            vector.run_batch(stimuli, faults, stop_when_all_detected=False),
+        ):
+            _assert_same_result(a, b)
+        assert tier_ups == [(_engine_program(vector, faults), TIER_UP_STEPS)]
+
+    def test_kernels_on_one_program_switch_together(self, tier_ups):
+        """``step_best``'s scoring kernel and the committed kernel share
+        a program: whichever tiers it up, both run its own layout next,
+        and a snapshot taken before restores after."""
+        circuit = load_circuit("g208")
+        faults = collapse_faults(circuit)[::3]
+        rng = random.Random(47)
+        walk = [
+            [[rng.choice([0, 1]) for _ in circuit.inputs] for _ in range(4)]
+            for _ in range(60)
+        ]
+        twin = IncrementalFaultSimulator(circuit, faults, backend="python")
+        inc = IncrementalFaultSimulator(circuit, faults, backend="vector")
+        before = (twin.snapshot(), inc.snapshot())
+        for cands in walk:
+            assert inc.step_best(cands) == twin.step_best(cands)
+            assert inc.peek(cands[0]) == twin.peek(cands[0])
+            assert inc.step(cands[1]) == twin.step(cands[1])
+        assert tier_ups and all(p.own for p, _ in tier_ups)
+        vec = inc._vec
+        assert vec._scorer.program is vec._kern.program
+        for kern in (vec._kern, vec._scorer):
+            assert kern._step_ops is kern.program.code.fn
+        twin.restore(before[0])
+        inc.restore(before[1])
+        for cands in walk:
+            assert inc.step(cands[2]) == twin.step(cands[2])
+        assert inc.remaining_faults() == twin.remaining_faults()
+
+    def test_uncovered_list_compiles_at_once(self, tier_ups):
+        """Branch faults the collapsed list represents by a stem are
+        outside the covering layout: such a list compiles its own
+        layout before its first step, and the covering code is never
+        built."""
+        circuit = load_circuit("g208")
+        faults = all_faults(circuit)
+        rng = random.Random(53)
+        stimulus = [[rng.choice([0, 1]) for _ in circuit.inputs] for _ in range(8)]
+        vector = FaultSimulator(circuit, backend="vector")
+        _assert_same_result(
+            FaultSimulator(circuit, backend="python").run(stimulus, faults),
+            vector.run(stimulus, faults),
+        )
+        program = _engine_program(vector, faults)
+        assert program.own and not tier_ups
+        assert covering(vector.comp).code is None
+
+    def test_covering_code_compiled_once_per_circuit(self, step_compiles):
+        """Fresh samples of the collapsed list — screens, runs and
+        batches, each over a few dozen cycles — compile one function
+        between them: the covering code.  Another compiled circuit of
+        the same netlist gets it from the memo."""
+        circuit = load_circuit("g208")
+        collapsed = collapse_faults(circuit)
+        rng = random.Random(59)
+        stimuli = [
+            [[rng.choice([0, 1]) for _ in circuit.inputs] for _ in range(6)]
+            for _ in range(3)
+        ]
+        vector = FaultSimulator(circuit, backend="vector")
+        oracle = FaultSimulator(circuit, backend="python")
+        for _ in range(8):
+            sample = rng.sample(collapsed, 30)
+            assert vector.detects_any_batch(
+                stimuli, sample
+            ) == oracle.detects_any_batch(stimuli, sample)
+            _assert_same_result(
+                vector.run(stimuli[0], sample), oracle.run(stimuli[0], sample)
+            )
+            for a, b in zip(
+                vector.run_batch(stimuli, sample),
+                oracle.run_batch(stimuli, sample),
+            ):
+                _assert_same_result(a, b)
+        assert step_compiles[0] == 1
+        cover = covering(vector.comp)
+        assert cover.code is not None
+        assert all(
+            p.code is cover.code for p in vector._vector_engine()._programs.values()
+        )
+        other = FaultSimulator(circuit, backend="vector")
+        other.run(stimuli[0], rng.sample(collapsed, 30))
+        assert step_compiles[0] == 1
+        assert covering(other.comp) is not cover
+
+    def test_flow_compiles_few_step_functions(self, step_compiles):
+        """A g208 hardware flow (L_G 512, seed 1) from an empty step
+        memo compiles at most 10 step functions: the covering code and
+        the own layouts of the few lists that outlive the tier-up."""
+        result = run_full_flow("g208", FlowConfig(
+            seed=1, procedure=ProcedureConfig(l_g=512),
+            synthesize_hardware=True,
+        ))
+        assert result.tpg_verified
+        assert 0 < step_compiles[0] <= 10

@@ -124,7 +124,14 @@ def design_from_dict(payload: Dict[str, object]) -> TpgDesign:
     if lfsr_raw is not None:
         if not isinstance(lfsr_raw, dict):
             raise HardwareError("saved design field 'lfsr' must be an object")
-        lfsr = LfsrSpec(width=int(lfsr_raw["width"]), seed=int(lfsr_raw["seed"]))
+        for field in ("width", "seed"):
+            value = lfsr_raw.get(field)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise HardwareError(
+                    f"saved design field 'lfsr.{field}' is missing or is "
+                    f"not an integer"
+                )
+        lfsr = LfsrSpec(width=lfsr_raw["width"], seed=lfsr_raw["seed"])
     alphabet_raw = payload.get("alphabet")
     alphabet = None
     if alphabet_raw is not None:

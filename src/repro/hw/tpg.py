@@ -35,12 +35,20 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.baselines.lfsr import Lfsr
 from repro.circuit.builder import CircuitBuilder
 from repro.circuit.netlist import Circuit
-from repro.core.assignment import WeightAssignment
+from repro.core.assignment import AnyWeight, WeightAssignment
 from repro.core.weight import Weight
 from repro.errors import HardwareError
 from repro.hw.fsm import WeightFsm, build_weight_fsms, find_output
 from repro.hw.qm import Cube, minimize
+from repro.sim.values import Value
 from repro.tgen.sequence import TestSequence
+
+#: Register prefixes of the generator's flip-flops; bit ``k`` of
+#: register ``r`` is the flip-flop ``r_q{k}`` (:func:`_register`).
+#: Weight FSM ``i``'s state register is ``fsm{i}``.
+_CYCLE = "cyc"
+_SELECT = "sel"
+_LFSR = "lfsr"
 
 
 @dataclass(frozen=True)
@@ -120,25 +128,53 @@ class TpgDesign:
 
     def expected_stream(self, assignment_index: int) -> TestSequence:
         """The weighted sequence the hardware must emit for one
-        assignment window.
-
-        Deterministic weights expand as usual; pseudo-random weights
-        expand from the on-chip LFSR's bit traces (input ``i`` taps
-        state bit ``width - 1 - (i mod width)``).
-        """
+        assignment window (:meth:`expected_column` per input)."""
         assignment = self.assignments[assignment_index]
-        columns = []
-        for i, weight in enumerate(assignment.weights):
-            if weight.is_random:
-                if self.lfsr is None:
-                    raise HardwareError(
-                        "design has random weights but no LFSR spec"
-                    )
-                bit = self.lfsr.width - 1 - (i % self.lfsr.width)
-                columns.append(self.lfsr.bit_stream(bit, self.l_g))
-            else:
-                columns.append(weight.expand(self.l_g))
+        columns = [
+            self.expected_column(i, weight)
+            for i, weight in enumerate(assignment.weights)
+        ]
         return TestSequence(zip(*columns))
+
+    def expected_column(self, port: int, weight: AnyWeight) -> Tuple[int, ...]:
+        """The values CUT input ``port`` must carry over one assignment
+        window whose weight for it is ``weight``.
+
+        Deterministic weights expand as usual; a pseudo-random weight
+        reads the on-chip LFSR's bit trace (input ``i`` taps state bit
+        ``width - 1 - (i mod width)``).
+        """
+        if weight.is_random:
+            if self.lfsr is None:
+                raise HardwareError("design has random weights but no LFSR spec")
+            bit = self.lfsr.width - 1 - (port % self.lfsr.width)
+            return self.lfsr.bit_stream(bit, self.l_g)
+        return weight.expand(self.l_g)
+
+    def window_start(self, assignment_index: int) -> Tuple[Value, ...]:
+        """The flip-flop values (``circuit.flops`` order) a correct
+        generator holds at the first cycle of one assignment window.
+
+        That is the reset state with the assignment counter at
+        ``assignment_index``: the terminal count that ends a window
+        clears the cycle counter and every weight FSM and reloads the
+        LFSR seed, as reset does, and only advances the assignment
+        counter.  Flip-flops of no register this module names read 0.
+        :func:`~repro.hw.verify.verify_tpg` starts its replay lanes from
+        these values and proves each one before it trusts it.
+        """
+        seed = (
+            Lfsr(self.lfsr.width, self.lfsr.seed).state
+            if self.lfsr is not None
+            else 0
+        )
+        registers = {_SELECT: assignment_index, _LFSR: seed}
+        values = []
+        for name in self.circuit.flops:
+            register, _, bit = name.rpartition("_q")
+            word = registers.get(register, 0)
+            values.append((word >> int(bit)) & 1 if bit.isdigit() else 0)
+        return tuple(values)
 
 
 class _Netlist:
@@ -200,6 +236,11 @@ class _Netlist:
         return name
 
 
+def _register(prefix: str, n_bits: int) -> List[str]:
+    """The flip-flop names of an ``n_bits`` register (LSB first)."""
+    return [f"{prefix}_q{k}" for k in range(n_bits)]
+
+
 def _decode(net: _Netlist, bits: Sequence[str], value: int) -> str:
     """AND-decode ``bits == value`` (LSB-first bit list)."""
     terms = []
@@ -224,7 +265,7 @@ def _counter(
     ``reset``) force the next state to zero.  ``clear`` may name a net
     that is declared later (forward reference).
     """
-    bits = [f"{prefix}_q{k}" for k in range(n_bits)]
+    bits = _register(prefix, n_bits)
     carry = enable if enable is not None else net.const(1)
     guards = [net.inv(reset)]
     if clear is not None:
@@ -327,9 +368,8 @@ def synthesize_tpg(
         at_max = net.const(1)
     else:
         n_cyc = (l_g - 1).bit_length()
-        cyc_names = [f"cyc_q{k}" for k in range(n_cyc)]
-        at_max = _decode(net, cyc_names, l_g - 1)
-        _counter(net, "cyc", n_cyc, reset, None, at_max)
+        at_max = _decode(net, _register(_CYCLE, n_cyc), l_g - 1)
+        _counter(net, _CYCLE, n_cyc, reset, None, at_max)
 
     # Assignment counter: advances on at_max, wraps after the last
     # assignment.
@@ -337,11 +377,10 @@ def synthesize_tpg(
         sel_bits: List[str] = []
     else:
         n_sel = (n_assignments - 1).bit_length()
-        sel_names = [f"sel_q{k}" for k in range(n_sel)]
-        at_last = _decode(net, sel_names, n_assignments - 1)
+        sel_bits = _register(_SELECT, n_sel)
+        at_last = _decode(net, sel_bits, n_assignments - 1)
         wrap = net.and_([at_last, at_max])
-        _counter(net, "sel", n_sel, reset, at_max, wrap)
-        sel_bits = sel_names
+        _counter(net, _SELECT, n_sel, reset, at_max, wrap)
 
     # On-chip LFSR for pseudo-random weights: Fibonacci left-shift,
     # reloaded with the seed at reset and at every assignment boundary
@@ -350,7 +389,7 @@ def synthesize_tpg(
     if needs_lfsr:
         assert lfsr is not None
         golden = Lfsr(lfsr.width, lfsr.seed)  # validates width/taps/seed
-        lfsr_bits = [f"lfsr_q{k}" for k in range(lfsr.width)]
+        lfsr_bits = _register(_LFSR, lfsr.width)
         reload = net.or_([reset, at_max])
         not_reload = net.inv(reload)
         tap_bits = [lfsr_bits[tap - 1] for tap in golden.taps]
@@ -407,7 +446,7 @@ def synthesize_tpg(
             continue
         prefix = f"fsm{fsm_index}"
         n_state = fsm.n_state_bits
-        state_names = [f"{prefix}_q{k}" for k in range(n_state)]
+        state_names = _register(prefix, n_state)
         at_last_state = _decode(net, state_names, fsm.length - 1)
         clear = net.or_([at_last_state, at_max])
         _counter(net, prefix, n_state, reset, None, clear)

@@ -122,6 +122,11 @@ class ProgressBook:
                     return [], False
                 self._cond.wait(remaining)
 
+    def seen(self, key: str) -> bool:
+        """Whether ``key`` got an event or a close in this book's life."""
+        with self._cond:
+            return key in self._next_seq or key in self._closed
+
     def next_seq(self, key: str) -> int:
         """The seq the *next* event for ``key`` will get (the cursor a
         fully caught-up client should poll with)."""

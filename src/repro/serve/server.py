@@ -325,8 +325,18 @@ class CampaignServer:
         timeout_s = min(
             max(request.query_float("timeout", 25.0), 0.0), MAX_WAIT_S
         )
+        # The book decides when a feed it has seen is closed: the queue
+        # marks a job terminal before its last event (``job_done``,
+        # ``job_failed``) reaches the book.  Only a job the book never
+        # saw, one that ended in an earlier server life, closes on its
+        # queue state.
         events, book_closed = self.progress.snapshot(key, since)
-        if not events and not book_closed and not job.terminal and timeout_s:
+        if (
+            not events
+            and not book_closed
+            and (self.progress.seen(key) or not job.terminal)
+            and timeout_s
+        ):
             # Park off the event loop; posts wake the condition.
             events, book_closed = await asyncio.to_thread(
                 self.progress.wait, key, since, timeout_s
@@ -334,6 +344,7 @@ class CampaignServer:
         current = self.queue.get(key)
         state = current.state if current is not None else job.state
         terminal = current.terminal if current is not None else job.terminal
+        closed = book_closed if self.progress.seen(key) else terminal
         next_seq = (
             max(int(e["seq"]) for e in events) + 1  # type: ignore[call-overload]
             if events
@@ -344,7 +355,7 @@ class CampaignServer:
             {
                 "key": key,
                 "state": state,
-                "closed": bool(book_closed or terminal),
+                "closed": bool(closed),
                 "next": next_seq,
                 "events": events,
             },

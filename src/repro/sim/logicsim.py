@@ -14,6 +14,13 @@ loop as straight-line code: every net's value lives in two local rails
 kernel shares), so a cycle costs a few bitwise operations per gate with
 no per-gate dispatch.
 
+:meth:`LogicSimulator.run_lanes` runs the same gate code on rail
+*words*: lane ``k`` is bit ``k`` of every word, so one pass simulates
+many independent copies of the circuit, each from its own initial
+state under its own stimulus (TPG replay runs every assignment window
+as one lane).  Both loops emit their per-cycle body through
+:func:`_cycle_source`.
+
 :func:`_reference_run` keeps the interpreted per-gate loop over
 :func:`~repro.sim.values.and_reduce` and friends.  It is private and
 exists only as the scalar oracle the compiled engine is tested against
@@ -23,7 +30,7 @@ exists only as the scalar oracle the compiled engine is tested against
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.circuit.netlist import Circuit
 from repro.errors import SimulationError
@@ -82,6 +89,16 @@ _Engine = Callable[
     Tuple[List[Tuple[Value, ...]], List[Tuple[Value, ...]], List[Tuple[Value, ...]]],
 ]
 
+Rails = Tuple[int, int]
+"""One ternary value per lane as a ``(ones, zeros)`` pair of words: lane
+``k`` is 1 where bit ``k`` of ``ones`` is set, 0 where bit ``k`` of
+``zeros`` is set, and X where neither is."""
+
+_LanesEngine = Callable[
+    [Sequence[Sequence[Rails]], Sequence[Rails], int],
+    Tuple[List[Tuple[Rails, ...]], Tuple[Rails, ...]],
+]
+
 
 class LogicSimulator:
     """Levelized 3-valued sequential simulator for one circuit.
@@ -97,6 +114,7 @@ class LogicSimulator:
         self.circuit = circuit
         self.compiled = compiled or compile_circuit(circuit)
         self._engines: Dict[bool, _Engine] = {}
+        self._lanes_engine: Optional[_LanesEngine] = None
 
     def run(
         self,
@@ -129,6 +147,63 @@ class LogicSimulator:
             outputs=tuple(outputs), states=tuple(states), nets=tuple(nets)
         )
 
+    def run_lanes(
+        self,
+        stimulus: Sequence[Sequence[Rails]],
+        initial_state: Sequence[Rails],
+        width: int,
+    ) -> Tuple[List[Tuple[Rails, ...]], Tuple[Rails, ...]]:
+        """Simulate ``width`` independent copies of the circuit at once.
+
+        Lane ``k`` is bit ``k`` of every rail word (see :data:`Rails`),
+        so lane ``k`` behaves exactly as :meth:`run` on lane ``k``'s
+        own stimulus from lane ``k``'s own initial state.
+
+        Parameters
+        ----------
+        stimulus:
+            One entry per time unit; each entry gives the rails of
+            every primary input in port order.
+        initial_state:
+            The rails of every flip-flop at time 0 (``circuit.flops``
+            order).
+        width:
+            The number of lanes ``W``; every rail must lie inside the
+            ``W``-bit lane mask, and no lane may be both 1 and 0.
+
+        Returns
+        -------
+        ``(outputs, final_state)``: per time unit, the rails of every
+        primary output (port order); and the flip-flop rails after the
+        last time unit (``initial_state`` when the stimulus is empty).
+        """
+        if width < 1:
+            raise SimulationError(f"lane width must be at least 1, got {width}")
+        mask = (1 << width) - 1
+        comp = self.compiled
+        n_ff = len(comp.ff_indices)
+        if len(initial_state) != n_ff:
+            raise _state_width_error(initial_state, n_ff)
+        for slot, rails in enumerate(initial_state):
+            if _bad_rails(rails, mask):
+                raise SimulationError(
+                    f"initial state: flip-flop {slot} rails {rails!r} "
+                    f"overlap or leave the {width}-lane mask"
+                )
+        n_pi = len(comp.pi_indices)
+        for u, row in enumerate(stimulus):
+            if len(row) != n_pi:
+                raise _width_error(u, row, n_pi)
+            for slot, rails in enumerate(row):
+                if _bad_rails(rails, mask):
+                    raise SimulationError(
+                        f"time {u}: input {slot} rails {rails!r} "
+                        f"overlap or leave the {width}-lane mask"
+                    )
+        if self._lanes_engine is None:
+            self._lanes_engine = _generate_lanes_engine(comp)
+        return self._lanes_engine(stimulus, initial_state, mask)
+
 
 def _initial_state(
     comp: CompiledCircuit, initial_state: Sequence[Value] | None
@@ -138,14 +213,17 @@ def _initial_state(
     if initial_state is None:
         return [VX] * n_ff
     if len(initial_state) != n_ff:
-        raise SimulationError(
-            f"initial state has {len(initial_state)} values, "
-            f"circuit has {n_ff} flip-flops"
-        )
+        raise _state_width_error(initial_state, n_ff)
     for value in initial_state:
         if value not in (V0, V1, VX):
             raise SimulationError(f"initial state: bad ternary value {value!r}")
     return list(initial_state)
+
+
+def _state_width_error(state: Sequence[object], n_ff: int) -> SimulationError:
+    return SimulationError(
+        f"initial state has {len(state)} values, circuit has {n_ff} flip-flops"
+    )
 
 
 def _width_error(u: int, pattern: Sequence[Value], n_pi: int) -> SimulationError:
@@ -161,9 +239,43 @@ def _value_error(u: int, pattern: Sequence[Value]) -> SimulationError:
     return SimulationError(f"time {u}: bad ternary value {bad!r}")
 
 
+def _bad_rails(rails: object, mask: int) -> bool:
+    """Whether ``rails`` is not a pair of words inside ``mask`` that
+    never set one lane on both rails."""
+    try:
+        ones, zeros = rails  # type: ignore[misc]
+        return bool(ones & zeros or (ones | zeros) & ~mask)
+    except (TypeError, ValueError):
+        return True
+
+
 #: Ternary value -> ``(ones, zeros)`` rail pair.  Exactly the accepted
 #: values are keys, so a failed lookup is a bad value.
 _RAILS = {V0: (0, 1), V1: (1, 0), VX: (0, 0)}
+
+
+def _cycle_source(comp: CompiledCircuit, records: Sequence[str]) -> List[str]:
+    """The body of one generated cycle, after the inputs are loaded.
+
+    Every gate in topological order through
+    :func:`~repro.sim.compile.gate_source`, then the ``records``
+    statements (which see this cycle's nets), then the next-state
+    latch that makes the flip-flops' next-state rails the present
+    state.  Lines are indented for the cycle loop.
+    """
+    lines = []
+    for opcode, out, fanins in comp.ops:
+        statements, oexpr, zexpr = gate_source(
+            opcode, [f"o{f}" for f in fanins], [f"z{f}" for f in fanins]
+        )
+        lines.extend("  " + statement for statement in statements)
+        lines.append(f"  o{out} = {oexpr}; z{out} = {zexpr}")
+    lines.extend("  " + record for record in records)
+    if comp.ff_indices:
+        present = [f"o{i}, z{i}" for i in comp.ff_indices]
+        nxt = [f"o{i}, z{i}" for i in comp.ff_next_indices]
+        lines.append(f"  {', '.join(present)} = {', '.join(nxt)}")
+    return lines
 
 
 def _generate_engine(comp: CompiledCircuit, record_nets: bool) -> _Engine:
@@ -206,20 +318,13 @@ def _generate_engine(comp: CompiledCircuit, record_nets: bool) -> _Engine:
             lines.append(f"   o{i}, z{i} = rails[p{slot}]")
         lines.append("  except (KeyError, TypeError):")
         lines.append(f"   raise value_error(u, ({pattern_values})) from None")
-    for opcode, out, fanins in comp.ops:
-        statements, oexpr, zexpr = gate_source(
-            opcode, [f"o{f}" for f in fanins], [f"z{f}" for f in fanins]
-        )
-        lines.extend("  " + statement for statement in statements)
-        lines.append(f"  o{out} = {oexpr}; z{out} = {zexpr}")
-    lines.append(f"  outputs.append({row(comp.po_indices)})")
-    lines.append(f"  states.append({row(comp.ff_indices)})")
+    records = [
+        f"outputs.append({row(comp.po_indices)})",
+        f"states.append({row(comp.ff_indices)})",
+    ]
     if record_nets:
-        lines.append(f"  nets.append({row(range(comp.n_nets))})")
-    if comp.ff_indices:
-        present = [f"o{i}, z{i}" for i in comp.ff_indices]
-        nxt = [f"o{i}, z{i}" for i in comp.ff_next_indices]
-        lines.append(f"  {', '.join(present)} = {', '.join(nxt)}")
+        records.append(f"nets.append({row(range(comp.n_nets))})")
+    lines.extend(_cycle_source(comp, records))
     lines.append(" return outputs, states, nets")
     namespace: dict = {
         "RAILS": _RAILS,
@@ -228,6 +333,41 @@ def _generate_engine(comp: CompiledCircuit, record_nets: bool) -> _Engine:
     }
     exec(compile("\n".join(lines), "<logic-sim>", "exec"), namespace)
     return namespace["_engine"]
+
+
+def _generate_lanes_engine(comp: CompiledCircuit) -> _LanesEngine:
+    """Generate the lane-parallel cycle loop for ``comp``.
+
+    The same gate code as :func:`_generate_engine`, on rail words of
+    ``W`` lanes: the inputs' and flip-flops' rail pairs are unpacked
+    as given (the caller has validated them), and the constants load
+    as the lane mask on one rail.  Every cycle records the outputs'
+    rail pairs; the loop returns them with the final state's.
+    """
+
+    def pairs(indices: Sequence[int]) -> str:
+        return "(" + "".join(f"(o{i}, z{i}), " for i in indices) + ")"
+
+    lines = [
+        "def _lanes(stimulus, state, mask):",
+        " outputs = []",
+    ]
+    if comp.ff_indices:
+        lines.append(f" {pairs(comp.ff_indices)} = state")
+    for i in comp.const0_indices:
+        lines.append(f" o{i} = 0; z{i} = mask")
+    for i in comp.const1_indices:
+        lines.append(f" o{i} = mask; z{i} = 0")
+    lines.append(" for row in stimulus:")
+    if comp.pi_indices:
+        lines.append(f"  {pairs(comp.pi_indices)} = row")
+    lines.extend(
+        _cycle_source(comp, [f"outputs.append({pairs(comp.po_indices)})"])
+    )
+    lines.append(f" return outputs, {pairs(comp.ff_indices)}")
+    namespace: dict = {}
+    exec(compile("\n".join(lines), "<logic-sim-lanes>", "exec"), namespace)
+    return namespace["_lanes"]
 
 
 def _reference_run(

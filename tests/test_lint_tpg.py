@@ -9,7 +9,8 @@ import pytest
 
 from repro.core import WeightAssignment
 from repro.core.weight import Weight
-from repro.errors import LintError
+from repro.cli import main
+from repro.errors import HardwareError, LintError
 from repro.hw import LfsrSpec, load_design, save_design, synthesize_tpg
 from repro.hw.fsm import WeightFsm, build_weight_fsms
 from repro.hw.verify import verify_tpg
@@ -239,6 +240,29 @@ class TestDesignIo:
         path.write_text("{not json")
         with pytest.raises(LintError, match="not valid JSON"):
             lint_design_path(path)
+
+    @pytest.mark.parametrize(
+        "lfsr, field",
+        [({}, "width"), ({"width": "x", "seed": 1}, "width"),
+         ({"width": 4, "seed": True}, "seed")],
+    )
+    def test_malformed_lfsr_is_one_error_line(
+        self, tmp_path, capsys, lfsr, field
+    ):
+        design = _design(["R", "1"], lfsr=LfsrSpec(width=4, seed=3))
+        path = tmp_path / "design.json"
+        save_design(design, path)
+        payload = json.loads(path.read_text())
+        payload["lfsr"] = lfsr
+        path.write_text(json.dumps(payload))
+        with pytest.raises(HardwareError, match=f"'lfsr.{field}'"):
+            load_design(path)
+        rc = main(["lint", str(path)])
+        captured = capsys.readouterr()
+        lines = [line for line in captured.err.splitlines() if line]
+        assert rc == 1
+        assert len(lines) == 1 and lines[0].startswith("repro: error:")
+        assert f"'lfsr.{field}'" in lines[0]
 
     def test_wrong_kind_raises_linterror(self, tmp_path):
         path = tmp_path / "other.json"

@@ -10,11 +10,16 @@ in-process scheduler (workers=1) or a supervised worker pool
 
 from __future__ import annotations
 
+import asyncio
+import json
+
 import pytest
 
 from repro.errors import ServeError
 from repro.serve import ServeClient, ServerConfig, ServerThread
+from repro.serve.http import HttpRequest
 from repro.serve.job import JobSpec
+from repro.serve.server import CampaignServer
 
 FAST = dict(circuit="s27", tgen_max_len=256, compaction_sims=8, l_g=64)
 
@@ -90,3 +95,56 @@ def test_events_cursor_and_error_paths(tmp_path):
             client.events("no-such-job")
         with pytest.raises(ServeError):
             client.events(key, since=-1)
+
+
+def test_feed_stays_open_until_the_book_closes(tmp_path):
+    # The scheduler and the supervisor mark a job terminal in the queue
+    # before they post ``job_done`` to the book.  A poll in that window
+    # must not report the feed closed, or a watcher stops one event
+    # short.  The server is built but never run: nothing executes the
+    # job, so every step below happens in this order.
+    server = CampaignServer(ServerConfig(state_dir=tmp_path / "state", port=0))
+    spec = fast_spec(seed=7)
+
+    async def poll(key, since, timeout_s):
+        request = HttpRequest(
+            "GET", f"/jobs/{key}/events", {},
+            params={"key": key},
+            query={"since": str(since), "timeout": str(timeout_s)},
+        )
+        response = await server._get_job_events(request)
+        assert response.status == 200
+        return json.loads(response.body)
+
+    async def scenario():
+        submitted = await server._post_jobs(
+            HttpRequest(
+                "POST", "/jobs", {}, body=json.dumps(spec.to_dict()).encode()
+            )
+        )
+        key = json.loads(submitted.body)["key"]
+        assert server.queue.claim_next().key == key
+        server.progress.post(key, "job_running")
+        server.queue.finish(key, ok=True, stats={})
+        assert server.queue.get(key).terminal
+
+        first = await poll(key, 0, 0.0)
+        assert first["closed"] is False
+        assert [e["kind"] for e in first["events"]] == [
+            "job_queued", "job_running"
+        ]
+        # Caught up on a terminal job whose book is still open: the
+        # poll parks on the book instead of returning closed.
+        parked = asyncio.ensure_future(poll(key, first["next"], 10.0))
+        await asyncio.sleep(0.05)
+        server.progress.post(key, "job_done")
+        server.progress.close(key, "done")
+        second = await parked
+        if not second["closed"]:
+            second = await poll(key, second["next"], 0.0)
+        return first, second
+
+    first, second = asyncio.run(scenario())
+    kinds = [e["kind"] for e in first["events"] + second["events"]]
+    assert kinds == ["job_queued", "job_running", "job_done"]
+    assert second["closed"] is True and second["state"] == "done"

@@ -9,7 +9,9 @@ circuit one gate at a time through the scalar ternary reductions of
 recorded nets) and raise the same errors.  These tests enforce that by
 hypothesis over random synthesized circuits and over random netlists
 that use every gate type, on every library circuit, and on synthesized
-TPGs replayed from reset.
+TPGs replayed from reset.  :meth:`LogicSimulator.run_lanes` runs the
+same gate code on words of lanes; lane ``k`` must equal the reference
+run of lane ``k``'s own stimulus from its own initial state.
 """
 
 from __future__ import annotations
@@ -256,3 +258,145 @@ class TestErrorParity:
     def test_bad_initial_state_value(self, s27, bad):
         message = _raises_same(s27, [(V0,) * 4], initial_state=[V0, bad, V1])
         assert message == f"initial state: bad ternary value {bad!r}"
+
+
+def _pack(values):
+    """Rails of one ternary value per lane (lane ``k`` = bit ``k``)."""
+    ones = zeros = 0
+    for k, value in enumerate(values):
+        if value == V1:
+            ones |= 1 << k
+        elif value == V0:
+            zeros |= 1 << k
+    return ones, zeros
+
+
+def _lane(rails, k):
+    """Lane ``k``'s ternary value in ``rails``."""
+    ones, zeros = rails
+    return V1 if ones >> k & 1 else V0 if zeros >> k & 1 else VX
+
+
+class TestLanes:
+    """Hypothesis: lane ``k`` of ``run_lanes`` is its own scalar run."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        n_pi=st.integers(min_value=1, max_value=4),
+        n_ff=st.integers(min_value=0, max_value=4),
+        n_gates=st.integers(min_value=1, max_value=20),
+        width=st.integers(min_value=1, max_value=70),
+        length=st.integers(min_value=0, max_value=10),
+    )
+    def test_each_lane_is_its_own_run(
+        self, seed, n_pi, n_ff, n_gates, width, length
+    ):
+        rng = random.Random(seed)
+        circuit = _random_netlist(rng, n_pi, n_ff, n_gates)
+        stimuli = [_random_stimulus(rng, n_pi, length) for _ in range(width)]
+        initials = [
+            [rng.choice(TERNARY) for _ in circuit.flops] for _ in range(width)
+        ]
+        stimulus = [
+            tuple(
+                _pack([stimuli[k][u][p] for k in range(width)])
+                for p in range(n_pi)
+            )
+            for u in range(length)
+        ]
+        initial = [
+            _pack([initials[k][f] for k in range(width)])
+            for f in range(len(circuit.flops))
+        ]
+        sim = LogicSimulator(circuit)
+        outputs, final = sim.run_lanes(stimulus, initial, width)
+        assert len(outputs) == length
+        mask = (1 << width) - 1
+        for ones, zeros in [r for row in outputs for r in row] + list(final):
+            assert not ones & zeros and not (ones | zeros) & ~mask
+        idle = (V0,) * n_pi
+        for k in range(width):
+            # One cycle more: the last recorded state is the final one.
+            reference = _reference_run(
+                sim.compiled, stimuli[k] + [idle], initials[k]
+            )
+            lane_outputs = tuple(
+                tuple(_lane(rails, k) for rails in row) for row in outputs
+            )
+            assert lane_outputs == reference.outputs[:length]
+            assert tuple(_lane(r, k) for r in final) == reference.states[-1]
+
+    def test_engine_generated_once(self, s27, monkeypatch):
+        calls = []
+        generate = logicsim._generate_lanes_engine
+
+        def counting(comp):
+            calls.append(comp)
+            return generate(comp)
+
+        monkeypatch.setattr(logicsim, "_generate_lanes_engine", counting)
+        sim = LogicSimulator(s27)
+        for width in (1, 3, 70):
+            mask = (1 << width) - 1
+            sim.run_lanes([((0, mask),) * 4] * 2, [(0, 0)] * 3, width)
+        assert len(calls) == 1
+
+
+class TestLaneErrors:
+    def test_wrong_pattern_width(self, s27):
+        with pytest.raises(SimulationError) as exc:
+            LogicSimulator(s27).run_lanes(
+                [((0, 1),) * 4, ((0, 1),) * 2], [(0, 0)] * 3, 1
+            )
+        assert str(exc.value) == (
+            "time 1: pattern has 2 values, circuit has 4 primary inputs"
+        )
+
+    def test_wrong_initial_state_length(self, s27):
+        with pytest.raises(SimulationError) as exc:
+            LogicSimulator(s27).run_lanes([], [(0, 0)] * 2, 1)
+        assert str(exc.value) == (
+            "initial state has 2 values, circuit has 3 flip-flops"
+        )
+
+    @pytest.mark.parametrize("width", [0, -3])
+    def test_width_below_one(self, s27, width):
+        with pytest.raises(SimulationError, match="lane width must be at least 1"):
+            LogicSimulator(s27).run_lanes([], [(0, 0)] * 3, width)
+
+    @pytest.mark.parametrize(
+        "rails",
+        [
+            (1, 1),  # lane 0 both 1 and 0
+            (0b110, 0b011),  # lane 1 both 1 and 0
+            (0b1000, 0),  # lane 3 outside a 3-lane mask
+            (0, 1 << 70),
+            (-1, 0),
+            ("1", 0),
+            (1,),
+            None,
+        ],
+    )
+    def test_bad_input_rails(self, s27, rails):
+        row = [(0, 0b111)] * 4
+        row[2] = rails
+        with pytest.raises(SimulationError) as exc:
+            LogicSimulator(s27).run_lanes(
+                [((0, 0b111),) * 4, tuple(row)], [(0, 0)] * 3, 3
+            )
+        assert str(exc.value).startswith(f"time 1: input 2 rails {rails!r}")
+        assert "3-lane mask" in str(exc.value)
+
+    @pytest.mark.parametrize("rails", [(0b10, 0b10), (0b100, 0), (0, -2)])
+    def test_bad_initial_rails(self, s27, rails):
+        with pytest.raises(SimulationError) as exc:
+            LogicSimulator(s27).run_lanes([], [(0, 0), rails, (0, 0)], 2)
+        assert str(exc.value).startswith(
+            f"initial state: flip-flop 1 rails {rails!r}"
+        )
+
+    def test_zero_cycles_return_the_initial_state(self, s27):
+        initial = [(0b01, 0b10), (0, 0), (0b11, 0)]
+        outputs, final = LogicSimulator(s27).run_lanes([], initial, 2)
+        assert outputs == [] and final == tuple(initial)

@@ -4,9 +4,9 @@ Usage (after ``pip install -e .``)::
 
     python -m repro circuits
     python -m repro flow s27 --lg 256 --verilog tpg.v --bench tpg.bench
-    python -m repro flow g1488 --jobs 4 --stats
+    python -m repro flow g1488 --stats
     python -m repro flow s27 --save-tpg design.json --lint strict
-    python -m repro table6 s27 g208
+    python -m repro table6 s27 g208 --jobs 2
     python -m repro tradeoff g208
     python -m repro atpg s27
     python -m repro bench-info path/to/design.bench
@@ -17,8 +17,10 @@ Every command prints plain text; files are written only when an output
 path is given explicitly.
 
 The simulation-heavy commands (``flow``, ``table6``, ``tradeoff``)
-accept runtime flags: ``--jobs N`` fans fault simulation out over N
-worker processes, ``--cache-dir PATH`` / ``--no-cache`` control the
+accept runtime flags: ``--jobs N`` runs up to N circuits of a
+``table6`` sweep at once, one whole flow per worker process (a
+single-circuit command always runs in one process), ``--cache-dir
+PATH`` / ``--no-cache`` control the
 on-disk artifact cache (on by default, under ``~/.cache/repro``),
 ``--stats`` prints the runtime counters after the command, and
 ``--lint [warn|strict]`` runs the static diagnostics gate on circuits
@@ -393,7 +395,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         "results (and the job key) are backend-"
                         "independent (default: auto)")
     p.add_argument("--job-workers", type=int, default=1, metavar="N",
-                   help="worker processes the job may use (default: 1)")
+                   help="worker processes of the job's runtime context; "
+                        "a job is one flow or search and runs in one "
+                        "process (default: 1)")
     p.add_argument("--wait", action="store_true",
                    help="poll until the job finishes and print the result")
     p.add_argument("--timeout", type=float, default=300.0, metavar="SECONDS",
@@ -540,7 +544,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _add_runtime_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("runtime")
     g.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="worker processes for fault simulation (default: 1)")
+                   help="worker processes for a table6 sweep, one whole "
+                        "flow per circuit; single-circuit commands run in "
+                        "one process (default: 1)")
     g.add_argument("--sim-backend", default="auto",
                    choices=("auto", "python", "vector"),
                    help="fault-simulation backend; results are "
@@ -562,9 +568,10 @@ def _add_runtime_flags(p: argparse.ArgumentParser) -> None:
     r = p.add_argument_group("resilience")
     r.add_argument("--task-timeout", type=float, default=None,
                    metavar="SECONDS",
-                   help="per-task timeout for pool workers; a hung worker "
-                        "is abandoned, the pool rebuilt and the task "
-                        "retried (default: no timeout)")
+                   help="per-task timeout for pool workers (a task is one "
+                        "circuit's whole flow); a hung worker is abandoned, "
+                        "the pool rebuilt and the task retried "
+                        "(default: no timeout)")
     r.add_argument("--retries", type=int, default=2, metavar="N",
                    help="pool retries per failed/hung/corrupted task "
                         "before it is replayed serially (default: 2)")

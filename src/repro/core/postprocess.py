@@ -66,8 +66,8 @@ def reverse_order_simulation(
     ``simulator`` defaults to the stuck-at fault simulator; pass the
     same simulator the procedure ran with when targeting a different
     fault model.  ``runtime`` and ``sim_backend`` (both ignored when
-    ``simulator`` is given) plug the default simulator into the cache /
-    worker pool and pick its backend.
+    ``simulator`` is given) plug the default simulator into the cache
+    and pick its backend.
     """
     comp = compiled or compile_circuit(circuit)
     sim = (

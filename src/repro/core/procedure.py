@@ -32,16 +32,17 @@ Deviations from the paper, both configurable:
   were only screened out may be retried at later iterations, which
   keeps the termination guarantee intact.
 
-Parallelism (``runtime`` argument): candidate rows are screened in
-*speculative batches* on the runtime's worker pool.  A batch's verdicts
-are all computed against the procedure state at batch start; rows are
-then consumed strictly in order, and the moment one row's full
-simulation detects faults (i.e. mutates ``remaining`` / ``Ω``) the rest
-of the batch is discarded and re-gathered under the new state.  A
-negative screen leaves the state untouched, so its verdict is exactly
-the one the serial run would have computed — ``Ω``, every
+Batched screening (vector backend): candidate rows are screened in
+*speculative batches* of 8, which share one multi-block kernel pass.  A
+batch's verdicts are all computed against the procedure state at batch
+start; rows are then consumed strictly in order, and the moment one
+row's full simulation detects faults (i.e. mutates ``remaining`` /
+``Ω``) the rest of the batch is discarded and re-gathered under the new
+state.  A negative screen leaves the state untouched, so its verdict is
+exactly the one a row-by-row run would have computed — ``Ω``, every
 :class:`OmegaEntry` and every :class:`ProcedureStats` counter are
-bit-identical to the serial run for any worker count.
+bit-identical to it.  The procedure runs in the calling process
+whatever the runtime's worker count.
 """
 
 from __future__ import annotations
@@ -264,9 +265,8 @@ def select_weight_assignments(
         only on the applied stimulus prefix.
     runtime:
         Optional :class:`~repro.runtime.context.RuntimeContext`.  Its
-        cache and worker pool accelerate the screening/simulation work;
-        the result is identical with or without it (see the module
-        docstring for the speculative-batch rule).
+        cache serves repeated screens and simulations; the result is
+        identical with or without it.
     sim_backend:
         Fault-simulation backend for the default simulator
         (``"auto"``/``"python"``/``"vector"``; ignored when
@@ -292,15 +292,9 @@ def select_weight_assignments(
     )
     if faults is None:
         faults = collapse_faults(circuit)
-    # Speculative screening batches pay off with pool workers (batch
-    # screening is pool-aware) and with the serial vector backend
-    # (several candidate sequences share one multi-block kernel pass).
-    batch_size = 1
-    if type(sim) is FaultSimulator:
-        if runtime is not None and runtime.executor.jobs > 1:
-            batch_size = runtime.executor.jobs * 2
-        elif getattr(sim, "_use_vector", False):
-            batch_size = 8
+    # Speculative screening batches pay off with the vector backend:
+    # several candidate sequences share one multi-block kernel pass.
+    batch_size = 8 if getattr(sim, "_use_vector", False) else 1
 
     l_g = max(cfg.l_g, len(sequence))
     with traced(runtime, "initial_simulation", faults=len(faults)):

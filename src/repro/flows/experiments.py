@@ -26,10 +26,15 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.procedure import ProcedureConfig
 from repro.core.report import Table6Row
-from repro.flows.full_flow import FlowConfig, FlowResult, run_full_flow
+from repro.flows.full_flow import (
+    FlowConfig,
+    FlowResult,
+    journal_flow,
+    run_full_flow,
+)
 from repro.obs.tradeoff import TradeoffRow, observation_point_tradeoff
 from repro.resilience.journal import flow_journal_key
-from repro.trace import trace_event, traced
+from repro.trace import Span, TraceEvent, trace_event, traced
 
 DEFAULT_SUITE: Tuple[str, ...] = ("s27", "g208", "g298", "g344", "g386")
 FULL_SUITE: Tuple[str, ...] = DEFAULT_SUITE + (
@@ -88,10 +93,15 @@ def flow_for(
     so a forced-backend run really exercises that backend.
     """
     cfg = flow_config_for(circuit_name, l_g, sim_backend)
-    key = (circuit_name, cfg.procedure.l_g, cfg.seed, cfg.sim_backend)
+    key = _flow_key(circuit_name, cfg)
     if key not in _FLOW_CACHE:
         _FLOW_CACHE[key] = run_full_flow(circuit_name, cfg, runtime=runtime)
     return _FLOW_CACHE[key]
+
+
+def _flow_key(circuit_name: str, cfg: FlowConfig) -> Tuple:
+    """The in-process flow cache's key for one circuit's flow."""
+    return (circuit_name, cfg.procedure.l_g, cfg.seed, cfg.sim_backend)
 
 
 def _checkpointed_row(
@@ -137,21 +147,78 @@ def table6_rows(
     possibly interrupted — sweep are skipped and their journaled rows
     returned as-is; the final table is identical to an uninterrupted
     run because each checkpoint is the completed row itself.
+
+    With a multi-worker runtime (``jobs = N > 1``, the CLI's ``--jobs
+    N``) the circuits left to compute run as up to N concurrent whole
+    flows on the runtime's process pool (:func:`_run_pooled`); with
+    fewer than two of them the sweep runs in-process.  Rows, journal
+    and normalized trace are the serial sweep's either way.
     """
     names = circuit_names or active_suite()
-    rows: List[Table6Row] = []
+    resumed: Dict[str, Table6Row] = {}
     with traced(runtime, "table6_sweep", circuits=len(names)):
         for name in names:
             row = _checkpointed_row(name, runtime, sim_backend)
             if row is not None:
                 runtime.stats.journal_skips += 1
                 trace_event(runtime, "journal_skip", circuit=name)
-                rows.append(row)
-                continue
-            rows.append(
-                flow_for(name, runtime=runtime, sim_backend=sim_backend).table6
+                resumed[name] = row
+        pending = [
+            name
+            for name in dict.fromkeys(names)
+            if name not in resumed
+            and _flow_key(name, flow_config_for(name, sim_backend=sim_backend))
+            not in _FLOW_CACHE
+        ]
+        if runtime is not None and runtime.jobs > 1 and len(pending) > 1:
+            _run_pooled(pending, runtime, sim_backend)
+        return [
+            resumed[name]
+            if name in resumed
+            else flow_for(name, runtime=runtime, sim_backend=sim_backend).table6
+            for name in names
+        ]
+
+
+def _run_pooled(names: List[str], runtime, sim_backend: str) -> None:
+    """Run ``names``' flows as concurrent whole flows on ``runtime``'s pool.
+
+    Each worker runs ``run_full_flow`` under its own serial context
+    (:meth:`~repro.runtime.context.RuntimeContext.flow_env`).  The
+    parent keeps every side effect and settles it in one place as each
+    flow is accepted: it journals the circuit's row, so an interrupted
+    sweep resumes past it; adds the worker's stats into its own; and
+    fills the flow cache, from which :func:`table6_rows` reads the
+    rows.  When tracing, it grafts each worker's trace under the sweep
+    span in suite order, as soon as every earlier one is in, so the
+    normalized trace is the serial sweep's.
+    """
+    configs = [flow_config_for(name, sim_backend=sim_backend) for name in names]
+    env = runtime.flow_env()
+    traces: Dict[int, tuple] = {}
+    next_graft = 0
+
+    def settle(i: int, outcome: Tuple[FlowResult, Optional[tuple]]) -> None:
+        nonlocal next_graft
+        flow, trace = outcome
+        journal_flow(runtime, configs[i], flow)
+        runtime.stats.add(flow.runtime_stats)
+        flow.runtime_stats = runtime.stats
+        _FLOW_CACHE[_flow_key(names[i], configs[i])] = flow
+        if runtime.tracer is None:
+            return
+        traces[i] = trace
+        while next_graft in traces:
+            root, events = traces.pop(next_graft)
+            runtime.tracer.graft(
+                Span.from_dict(root), [TraceEvent.from_dict(e) for e in events]
             )
-    return rows
+            next_graft += 1
+
+    runtime.executor.run_flows(
+        [(name, cfg, env) for name, cfg in zip(names, configs)],
+        on_result=settle,
+    )
 
 
 def tradeoff_for(

@@ -165,9 +165,13 @@ def run_full_flow(
     :class:`~repro.runtime.context.RuntimeContext`; when given, test
     generation and compaction are each cached whole in its artifact
     cache (:func:`generation_key`, :func:`~repro.tgen.compaction.
-    compaction_key`), and weight selection and reverse-order simulation
-    run through its worker pool and cache.  Results are bit-identical
-    with or without it.
+    compaction_key`), weight selection and reverse-order simulation
+    use its cache, and the finished row is journaled
+    (:func:`journal_flow`).  The flow runs entirely in the calling
+    process whatever ``runtime.jobs`` says; a Table-6 sweep spends the
+    workers on whole flows instead
+    (:func:`repro.flows.experiments.table6_rows`).  Results are
+    bit-identical with or without a runtime.
     """
     cfg = config or FlowConfig()
     # Reject a bad configuration up front — before circuit loading and
@@ -397,23 +401,8 @@ def _run_stages(
             runtime.stats.timers[stage] = (
                 runtime.stats.timers.get(stage, 0.0) + seconds
             )
-        journal = getattr(runtime, "journal", None)
-        if journal is not None:
-            # Checkpoint the finished circuit atomically: an
-            # interrupted multi-circuit sweep resumes past it with
-            # --resume (see repro.flows.experiments).
-            from repro.resilience.journal import flow_journal_key
 
-            journal.record(
-                flow_journal_key(circuit.name, asdict(cfg)),
-                {
-                    "kind": "flow",
-                    "table6": asdict(table6),
-                    "timings": dict(timings),
-                },
-            )
-
-    return FlowResult(
+    flow = FlowResult(
         circuit=circuit,
         generated=generated,
         compaction=compaction,
@@ -426,4 +415,28 @@ def _run_stages(
         pruned=pruned_report,
         timings=timings,
         runtime_stats=runtime.stats if runtime is not None else None,
+    )
+    journal_flow(runtime, cfg, flow)
+    return flow
+
+
+def journal_flow(runtime, cfg: FlowConfig, flow: FlowResult) -> None:
+    """Checkpoint ``flow``'s Table-6 row in ``runtime``'s journal.
+
+    The record is atomic, so an interrupted multi-circuit sweep resumes
+    past the circuit with ``--resume`` (see
+    :mod:`repro.flows.experiments`).  A no-op without a journal.
+    """
+    journal = getattr(runtime, "journal", None)
+    if journal is None:
+        return
+    from repro.resilience.journal import flow_journal_key
+
+    journal.record(
+        flow_journal_key(flow.circuit.name, asdict(cfg)),
+        {
+            "kind": "flow",
+            "table6": asdict(flow.table6),
+            "timings": dict(flow.timings),
+        },
     )

@@ -81,8 +81,9 @@ def validate_design_dict(payload: object) -> Dict[str, object]:
     Raises
     ------
     HardwareError
-        If the payload is not a saved TPG design or uses an
-        incompatible format version.
+        If the payload is not a saved TPG design, uses an incompatible
+        format version, has an ``l_g`` that is not an integer >= 1, or
+        has no assignments.
     """
     if not isinstance(payload, dict):
         raise HardwareError("saved design must be a JSON object")
@@ -104,6 +105,13 @@ def validate_design_dict(payload: object) -> Dict[str, object]:
         if not isinstance(payload.get(field), kind):
             raise HardwareError(f"saved design field {field!r} is missing "
                                 f"or has the wrong type")
+    l_g = payload["l_g"]
+    if isinstance(l_g, bool) or l_g < 1:
+        raise HardwareError(
+            f"saved design field 'l_g' must be an integer >= 1, got {l_g!r}"
+        )
+    if not payload["assignments"]:
+        raise HardwareError("saved design field 'assignments' is empty")
     return payload
 
 

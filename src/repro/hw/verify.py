@@ -103,9 +103,16 @@ def verify_tpg(design: TpgDesign, max_mismatches: int = 16) -> TpgVerification:
     Raises
     ------
     HardwareError
-        If an assignment's width differs from the netlist's output
-        count (nothing to compare port by port).
+        If the design has no assignments or an ``l_g`` below 1 (no
+        cycle to compare), or if an assignment's width differs from the
+        netlist's output count (nothing to compare port by port).
     """
+    if not design.assignments:
+        raise HardwareError("TPG design has no assignments to verify")
+    if design.l_g < 1:
+        raise HardwareError(
+            f"TPG design has L_G = {design.l_g}; it must be at least 1"
+        )
     n_ports = len(design.circuit.outputs)
     for j, assignment in enumerate(design.assignments):
         if assignment.width != n_ports:

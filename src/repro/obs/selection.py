@@ -51,7 +51,7 @@ def greedy_select(
     the full target set; the greedy loop then works on the cached
     detection sets.  The returned order covers every target fault (``Ω``
     does by construction).  ``runtime`` optionally plugs the simulator
-    into the artifact cache / worker pool.
+    into the artifact cache.
     """
     comp = compiled or compile_circuit(circuit)
     sim = FaultSimulator(circuit, comp, runtime=runtime)

@@ -1,4 +1,4 @@
-"""Deduplicated, cached, parallel fitness evaluation.
+"""Deduplicated, cached fitness evaluation.
 
 The expensive part of the search is fault-simulating candidate phases.
 Three layers keep it cheap without ever changing a result:
@@ -10,11 +10,10 @@ Three layers keep it cheap without ever changing a result:
    in the runtime's disk cache under
    ``simulation_key(circuit, T_G, F, {"kind": "optimize_phase"})``; a
    rerun (or another job on the same machine) reuses them.
-3. **Executor fan-out** — phases still pending after both layers are
-   flattened into per-fault-group simulation tasks and dispatched
-   through ``RuntimeContext.executor.run_group_tasks``; results merge
-   in task order, so the outcome is bit-identical for any worker count
-   (and under the executor's whole failure-recovery repertoire).
+3. **One in-process pass** — the phases still pending after both layers
+   are simulated in the calling process, all of them in one multi-block
+   vector kernel pass (``FaultSimulator.run_batch``), so the outcome is
+   the same for any worker count.
 
 The TPG-area objective is memoized per (assignment tuple, window):
 synthesis is pure, so the memo is exact.
@@ -31,7 +30,7 @@ from repro.hw.cost import tpg_cost
 from repro.hw.tpg import synthesize_tpg
 from repro.sim.compile import CompiledCircuit, compile_circuit
 from repro.sim.faults import Fault, FaultPruner, fault_name
-from repro.sim.faultsim import GROUP_FAULTS, FaultSimulator
+from repro.sim.faultsim import FaultSimulator
 from repro.trace import trace_event
 
 #: A phase is one weight assignment applied for one window of cycles.
@@ -55,7 +54,7 @@ class PhaseEvaluator:
         fixed canonical order (group packing depends on it).
     runtime:
         Optional :class:`~repro.runtime.context.RuntimeContext`; plugs
-        in the artifact cache and the worker pool.  Results never
+        in the artifact cache and the runtime stats.  Results never
         depend on it.
     pruner:
         Optional :class:`~repro.sim.faults.FaultPruner`.  Faults it
@@ -67,10 +66,9 @@ class PhaseEvaluator:
     backend:
         Fault-simulation backend selector (resolved against ``runtime``
         and the environment, see
-        :func:`repro.sim.backend.resolve_backend`).  The vector backend
-        simulates every fault of a phase in one pass, so its tasks are
-        per-phase rather than per-fault-group; detected sets — and the
-        cache entries keyed purely by content — are identical.
+        :func:`repro.sim.backend.resolve_backend`).  Detected sets —
+        and the cache entries keyed purely by content — are identical
+        on either backend.
     """
 
     def __init__(
@@ -173,70 +171,22 @@ class PhaseEvaluator:
     def _simulate_pending(
         self, pending: List[PhaseKey], stimuli: Dict[PhaseKey, Tuple]
     ) -> None:
-        """Simulate the remaining phases — fanned out per fault group.
+        """Simulate the remaining phases in this process, in order.
 
-        Tasks are built in (phase, group) order and results merged in
-        the same order; the executor returns them positionally, so the
-        merge is independent of scheduling.  The vector backend packs
-        the whole kept fault list into one word-parallel pass, so its
-        tasks are one per phase (serially it batches all pending phases
-        through one engine); detected sets are identical either way.
+        Only the kept faults are simulated — certified-untestable faults
+        cannot contribute detections, so the detected-name sets (and
+        everything cached under ``self.faults``) are unchanged.  The
+        vector backend runs all pending phases in one batched pass.
         """
         if not pending:
             return
-        ctx = self.runtime
-        if ctx is not None:
-            if self.backend == "vector":
-                tasks = [
-                    (
-                        self._bench_text,
-                        stimuli[key],
-                        list(self._sim_faults),
-                        False,
-                        True,
-                        self.backend,
-                    )
-                    for key in pending
-                ]
-                parts = ctx.executor.run_group_tasks(tasks)
-                for key, part in zip(pending, parts):
-                    names = [fault_name(f) for f in part.detection_time]
-                    self._store(key, frozenset(names), stimuli[key])
-                return
-            # Group packing over the kept faults only — certified-
-            # untestable faults cannot contribute detections, so the
-            # detected-name sets (and everything cached under
-            # self.faults) are unchanged.
-            groups = [
-                list(self._sim_faults[start : start + GROUP_FAULTS])
-                for start in range(0, len(self._sim_faults), GROUP_FAULTS)
-            ]
-            tasks = [
-                (self._bench_text, stimuli[key], group, False, True)
-                for key in pending
-                for group in groups
-            ]
-            parts = ctx.executor.run_group_tasks(tasks)
-            for p, key in enumerate(pending):
-                names: List[str] = []
-                for part in parts[p * len(groups) : (p + 1) * len(groups)]:
-                    names.extend(fault_name(f) for f in part.detection_time)
-                self._store(key, frozenset(names), stimuli[key])
-        else:
-            sim = FaultSimulator(self.circuit, self.comp, backend=self.backend)
-            if getattr(sim, "_use_vector", False) and len(pending) > 1:
-                results = sim.run_batch(
-                    [list(stimuli[key]) for key in pending],
-                    list(self._sim_faults),
-                )
-                for key, result in zip(pending, results):
-                    names = [fault_name(f) for f in result.detection_time]
-                    self._store(key, frozenset(names), stimuli[key])
-                return
-            for key in pending:
-                result = sim.run(stimuli[key], self._sim_faults)
-                names = [fault_name(f) for f in result.detection_time]
-                self._store(key, frozenset(names), stimuli[key])
+        sim = FaultSimulator(self.circuit, self.comp, backend=self.backend)
+        results = sim.run_batch(
+            [list(stimuli[key]) for key in pending], list(self._sim_faults)
+        )
+        for key, result in zip(pending, results):
+            names = [fault_name(f) for f in result.detection_time]
+            self._store(key, frozenset(names), stimuli[key])
 
     def _store(self, key: PhaseKey, detected: FrozenSet[str], stimulus) -> None:
         self._memo[key] = detected

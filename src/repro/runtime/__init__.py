@@ -4,10 +4,10 @@ The runtime layer makes the reproduction fast without changing a single
 result:
 
 * :mod:`repro.runtime.executor` — a common executor interface with a
-  serial and a process-pool implementation; whole-sequence fault
-  simulations shard across 63-fault groups and the Section-4.2
-  procedure screens candidate assignments in speculative batches, with
-  results merged deterministically (bit-identical to the serial run).
+  serial and a process-pool implementation.  A single flow always runs
+  in the calling process; the pool runs the circuits of a Table-6
+  sweep as concurrent whole flows, with results returned in task order
+  (bit-identical to the serial sweep).
 * :mod:`repro.runtime.cache` + :mod:`repro.runtime.keys` — a
   content-addressed artifact cache keyed on (canonical netlist, fault
   set, stimulus, config), with versioned keys, atomic writes and an

@@ -7,9 +7,9 @@ results are *identical* either way; the context only changes how fast
 they are obtained.
 
 >>> from repro.runtime import RuntimeContext
->>> with RuntimeContext(jobs=4, cache_dir="/tmp/repro-cache",
+>>> with RuntimeContext(jobs=2, cache_dir="/tmp/repro-cache",
 ...                     enable_cache=True) as rt:     # doctest: +SKIP
-...     flow = run_full_flow("g1488", runtime=rt)
+...     rows = table6_rows(("g208", "g298", "g386"), runtime=rt)
 ...     print(rt.stats.format())
 """
 
@@ -27,7 +27,7 @@ from repro.runtime.cache import (
     ArtifactCache,
     default_cache_dir,
 )
-from repro.runtime.executor import make_executor
+from repro.runtime.executor import FlowEnv, make_executor
 from repro.runtime.metrics import RuntimeStats
 from repro.trace.span import Tracer
 
@@ -46,7 +46,10 @@ class RuntimeContext:
     Parameters
     ----------
     jobs:
-        Worker processes; 1 (default) runs everything in-process.
+        Worker processes for independent whole flows: a Table-6 sweep
+        (:func:`repro.flows.experiments.table6_rows`) runs up to this
+        many circuits at once.  A single flow always runs in the
+        calling process.  1 (default) runs everything in-process.
         Results are independent of this value by construction.
     cache_dir:
         Cache root.  Turns the cache on when given, unless
@@ -72,8 +75,9 @@ class RuntimeContext:
         simulation" gate.
     task_timeout:
         Per-task timeout for pool workers (seconds); a hung worker is
-        abandoned with its pool and the task retried.  ``None``
-        (default) waits forever.
+        abandoned with its pool and the task retried.  A sweep's task
+        is a whole flow, so the timeout must exceed the longest one.
+        ``None`` (default) waits forever.
     retries:
         Pool re-dispatch attempts per failed/hung/corrupted task
         before the task is replayed serially.
@@ -267,6 +271,22 @@ class RuntimeContext:
             self.cache.tracer = tracer
         if self.journal is not None:
             self.journal.tracer = tracer
+
+    def flow_env(self) -> FlowEnv:
+        """What a whole-flow worker's serial context takes from this one
+        (see :meth:`~repro.runtime.executor.ProcessExecutor.run_flows`)."""
+        return FlowEnv(
+            cache_dir=str(self.cache.root) if self.cache is not None else None,
+            max_cache_bytes=(
+                self.cache.max_bytes
+                if self.cache is not None
+                else DEFAULT_MAX_BYTES
+            ),
+            lint=self.lint_policy,
+            sim_backend=self.sim_backend,
+            chaos=self.chaos,
+            trace=self.tracer is not None,
+        )
 
     @property
     def jobs(self) -> int:

@@ -1,20 +1,28 @@
-"""Executor layer: serial and process-pool execution of simulation work.
+"""Executor layer: serial and process-pool execution of independent work.
 
-Two work shapes cover everything the flows fan out:
+A single flow always runs in the calling process.  The vector kernel
+packs a whole fault list into one word pass, drops detected faults from
+it as it goes and reuses step code compiled once per process; cutting
+that pass into per-worker pieces loses all three.  Parallelism goes to
+work that is independent as a whole:
 
-* **Fault-group sharding** — a whole-sequence fault simulation splits
-  its fault list into the simulator's 63-fault groups; groups are
-  independent, so they run on separate workers and their per-group
-  :class:`~repro.sim.faultsim.FaultSimResult`\\ s merge into exactly the
-  serial result (detection times are per-fault, groups are disjoint).
-* **Screening batches** — the Section-4.2 procedure screens many
-  candidate weighted sequences against one fault sample; each screen is
-  an independent ``detects_any`` run.
+* **Whole flows** — :meth:`ProcessExecutor.run_flows` runs one
+  ``run_full_flow`` per task, each worker under its own serial
+  :class:`~repro.runtime.context.RuntimeContext`;
+  :func:`repro.flows.experiments.table6_rows` spends ``--jobs`` on the
+  circuits of a sweep this way.  Every side effect (journal, stats,
+  trace) stays with the parent, which receives each result as it is
+  accepted.
 
-Workers receive the circuit as canonical ``.bench`` text (cheap, and
-round-trips to an identical circuit) and memoize the compiled simulator
-per circuit, so repeated calls on the same circuit pay compilation once
-per worker process.  Results are returned in task order — parallel
+Both executors also keep three fault-level shapes with no caller in the
+library: fault-group sharding (:meth:`~ProcessExecutor.run_fault_groups`,
+:meth:`~ProcessExecutor.run_group_tasks`) and screening batches
+(:meth:`~ProcessExecutor.screen_batch`).  ``benchmarks/perf`` wraps them
+by name in every traced run, and the resilience tests drive the
+recovery paths below through them.
+
+Workers receive circuits as canonical ``.bench`` text or library names,
+never live objects.  Results are returned in task order — parallel
 execution is *deterministic by construction*; worker count never
 changes any result.
 
@@ -49,6 +57,7 @@ from concurrent.futures import Future
 from concurrent.futures import ProcessPoolExecutor as _ProcessPool
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -77,7 +86,40 @@ TaskFn = Callable[[Any], Tuple[Any, float]]
 #: A validator decides whether a worker's payload is structurally sound.
 Validator = Callable[[Any], bool]
 
+#: Called in the parent with ``(task_index, result)`` as each result is
+#: accepted.
+ResultHook = Callable[[int, Any], None]
+
 _UNSET = object()
+
+
+@dataclass(frozen=True)
+class FlowEnv:
+    """What a whole-flow worker's serial context takes from its parent.
+
+    Attributes
+    ----------
+    cache_dir:
+        The parent's cache root, or None when its cache is off.
+    max_cache_bytes:
+        The parent cache's LRU size cap.
+    lint:
+        The parent's lint policy.
+    sim_backend:
+        The parent's default fault-simulation backend.
+    chaos:
+        The parent's chaos spec; in a serial context only its ``cache``
+        mode acts.
+    trace:
+        Record a trace for the parent to graft (it is tracing).
+    """
+
+    cache_dir: Optional[str]
+    max_cache_bytes: int
+    lint: str
+    sim_backend: str
+    chaos: Optional[ChaosSpec]
+    trace: bool
 
 
 def _worker_sim(bench_text: str, backend: Optional[str] = None):
@@ -125,6 +167,49 @@ def _screen_task(task) -> Tuple[bool, float]:
     t0 = time.perf_counter()
     sim = _worker_sim(bench_text, backend)
     return sim.detects_any(stimulus, sample), time.perf_counter() - t0
+
+
+def _flow_task(task) -> Tuple[Tuple[object, Optional[tuple]], float]:
+    """Worker: one whole flow under a fresh serial runtime context.
+
+    ``task`` is ``(circuit_name, flow_config, env)`` with ``env`` a
+    :class:`FlowEnv`.  The context has no journal: the parent journals
+    each flow it accepts, so it stays the journal's only writer.  The
+    result is ``(flow, trace)``; ``trace`` is the worker's
+    ``(root.to_dict(), [event.to_dict(), ...])``, or None untraced.
+    """
+    name, config, env = task
+    t0 = time.perf_counter()
+    # Imported lazily: the runtime context imports this module.
+    from repro.flows.full_flow import run_full_flow
+    from repro.runtime.context import RuntimeContext
+
+    with RuntimeContext(
+        jobs=1,
+        cache_dir=env.cache_dir,
+        enable_cache=env.cache_dir is not None,
+        max_cache_bytes=env.max_cache_bytes,
+        lint=env.lint,
+        chaos=env.chaos,
+        trace=env.trace,
+        sim_backend=env.sim_backend,
+    ) as rt:
+        rt.journal = None
+        flow = run_full_flow(name, config, runtime=rt)
+        trace: Optional[tuple] = None
+        if rt.tracer is not None:
+            root = rt.tracer.finish()
+            trace = (root.to_dict(), [e.to_dict() for e in rt.tracer.events])
+    return (flow, trace), time.perf_counter() - t0
+
+
+def _valid_flow_result(result: Any) -> bool:
+    """A flow payload must be a ``(FlowResult, trace)`` pair."""
+    return (
+        isinstance(result, tuple)
+        and len(result) == 2
+        and hasattr(result[0], "table6")
+    )
 
 
 def _valid_group_result(result: Any) -> bool:
@@ -304,58 +389,44 @@ class ProcessExecutor:
     # -- the fault-tolerant fan-out -----------------------------------------
 
     def _map(
-        self, fn: TaskFn, tasks: List[Any], validate: Validator, label: str
+        self,
+        fn: TaskFn,
+        tasks: List[Any],
+        validate: Validator,
+        label: str,
+        on_result: Optional[ResultHook] = None,
     ) -> List[Any]:
         """Run every task; results in task order, whatever fails."""
-        results: List[Any] = [_UNSET] * len(tasks)
-        busy = [0.0] * len(tasks)
+        batch = _Batch(fn, tasks, validate, on_result)
         t0 = time.perf_counter()
         try:
-            self._run_all(fn, tasks, results, busy, validate)
+            self._run_all(batch)
         finally:
             # Fan-out accounting must survive task exceptions — a
             # failed batch still dispatched work and burnt wall time.
             self.stats.record_fanout(
-                time.perf_counter() - t0, sum(busy), len(tasks)
+                time.perf_counter() - t0, sum(batch.busy), len(tasks)
             )
             # Task spans are merged in *task order* with stable keys,
             # so the trace is independent of scheduling and PIDs.
             if self.tracer is not None:
-                for task, task_busy in zip(tasks, busy):
+                for task, task_busy in zip(tasks, batch.busy):
                     self.tracer.add_task_span(label, task_digest(task), task_busy)
-        return results
+        return batch.results
 
-    def _run_all(
-        self,
-        fn: TaskFn,
-        tasks: List[Any],
-        results: List[Any],
-        busy: List[float],
-        validate: Validator,
-    ) -> None:
-        pending = list(range(len(tasks)))
-        attempts = [0] * len(tasks)
+    def _run_all(self, batch: "_Batch") -> None:
+        pending = list(range(len(batch.tasks)))
+        attempts = [0] * len(batch.tasks)
         while pending:
             if self._degraded:
                 for i in pending:
-                    self._run_inline(fn, tasks[i], results, busy, i)
+                    self._run_inline(batch, i)
                 return
-            blamed, innocent = self._pool_round(
-                fn, tasks, results, busy, validate, pending, attempts
-            )
-            pending = self._settle(
-                fn, tasks, results, busy, blamed, innocent, attempts
-            )
+            blamed, innocent = self._pool_round(batch, pending, attempts)
+            pending = self._settle(batch, blamed, innocent, attempts)
 
     def _pool_round(
-        self,
-        fn: TaskFn,
-        tasks: List[Any],
-        results: List[Any],
-        busy: List[float],
-        validate: Validator,
-        pending: List[int],
-        attempts: List[int],
+        self, batch: "_Batch", pending: List[int], attempts: List[int]
     ) -> Tuple[List[int], List[int]]:
         """One dispatch round.
 
@@ -363,10 +434,11 @@ class ProcessExecutor:
         retry attempt, and tasks merely displaced by someone else's
         failure (resubmitted free of charge).
         """
+        tasks = batch.tasks
         try:
             pool = self._pool_instance()
             futures = [
-                (i, self._submit(pool, fn, tasks[i], attempts[i]))
+                (i, self._submit(pool, batch.fn, tasks[i], attempts[i]))
                 for i in pending
             ]
         except BrokenProcessPool:
@@ -390,9 +462,7 @@ class ProcessExecutor:
                     except BaseException:
                         blamed.append(i)
                         continue
-                    self._accept(
-                        result, elapsed, results, busy, validate, i, blamed
-                    )
+                    self._accept(batch, i, result, elapsed, blamed)
                 else:
                     fut.cancel()
                     innocent.append(i)
@@ -422,22 +492,19 @@ class ProcessExecutor:
             # the task itself (bad circuit, invalid fault, ...) —
             # retrying cannot change it, so it propagates.  The
             # enclosing finally still records the fan-out.
-            self._accept(result, elapsed, results, busy, validate, i, blamed)
+            self._accept(batch, i, result, elapsed, blamed)
         return blamed, innocent
 
     def _accept(
         self,
+        batch: "_Batch",
+        i: int,
         result: Any,
         elapsed: float,
-        results: List[Any],
-        busy: List[float],
-        validate: Validator,
-        i: int,
         blamed: List[int],
     ) -> None:
-        if validate(result):
-            results[i] = result
-            busy[i] = elapsed
+        if batch.validate(result):
+            batch.settle(i, result, elapsed)
         else:
             self.stats.corrupt_results += 1
             self._event("corrupt_result", index=i)
@@ -445,10 +512,7 @@ class ProcessExecutor:
 
     def _settle(
         self,
-        fn: TaskFn,
-        tasks: List[Any],
-        results: List[Any],
-        busy: List[float],
+        batch: "_Batch",
         blamed: List[int],
         innocent: List[int],
         attempts: List[int],
@@ -459,12 +523,12 @@ class ProcessExecutor:
         for i in blamed:
             attempts[i] += 1
             if attempts[i] > self.policy.retries:
-                self._run_inline(fn, tasks[i], results, busy, i)
+                self._run_inline(batch, i)
             else:
                 self.stats.task_retries += 1
                 self._event(
                     "task_retry",
-                    task=task_digest(tasks[i]),
+                    task=task_digest(batch.tasks[i]),
                     attempt=attempts[i],
                 )
                 still.append(i)
@@ -475,21 +539,14 @@ class ProcessExecutor:
                 time.sleep(delay)
         return sorted(still)
 
-    def _run_inline(
-        self,
-        fn: TaskFn,
-        task: Any,
-        results: List[Any],
-        busy: List[float],
-        i: int,
-    ) -> None:
+    def _run_inline(self, batch: "_Batch", i: int) -> None:
         """Serial replay: the same pure function on the same payload —
         the result is what the pool would have produced."""
+        task = batch.tasks[i]
         self._event("serial_replay", task=task_digest(task))
-        result, elapsed = fn(task)
-        results[i] = result
-        busy[i] = elapsed
+        result, elapsed = batch.fn(task)
         self.stats.serial_fallback_tasks += 1
+        batch.settle(i, result, elapsed)
 
     # -- the work shapes ----------------------------------------------------
 
@@ -537,10 +594,28 @@ class ProcessExecutor:
         ]
         return self._map(_screen_task, tasks, _valid_screen_result, "screen")
 
+    def run_flows(
+        self, tasks: Sequence, on_result: Optional[ResultHook] = None
+    ) -> List[object]:
+        """Run whole flows on the pool; ``(flow, trace)`` pairs in task
+        order (see :func:`_flow_task` for the task shape).
+
+        ``on_result(i, outcome)`` runs in the parent as each outcome is
+        accepted, from the pool or from a serial replay, so a sweep can
+        checkpoint a finished flow before the slowest one ends.
+        """
+        return self._map(
+            _flow_task, list(tasks), _valid_flow_result, "flow", on_result
+        )
+
     def close(self) -> None:
-        """Shut the worker pool down (idempotent)."""
+        """Shut the worker pool down (idempotent).
+
+        Queued tasks are cancelled, so an interrupted sweep starts no
+        further flow; running ones finish first.
+        """
         if self._pool is not None:
-            self._pool.shutdown(wait=True)
+            self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
 
     def __enter__(self) -> "ProcessExecutor":
@@ -548,6 +623,31 @@ class ProcessExecutor:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+class _Batch:
+    """One fan-out: its tasks and the results accepted so far."""
+
+    def __init__(
+        self,
+        fn: TaskFn,
+        tasks: List[Any],
+        validate: Validator,
+        on_result: Optional[ResultHook],
+    ) -> None:
+        self.fn = fn
+        self.tasks = tasks
+        self.validate = validate
+        self.on_result = on_result
+        self.results: List[Any] = [_UNSET] * len(tasks)
+        self.busy = [0.0] * len(tasks)
+
+    def settle(self, i: int, result: Any, elapsed: float) -> None:
+        """Accept task ``i``'s result and hand it to the hook."""
+        self.results[i] = result
+        self.busy[i] = elapsed
+        if self.on_result is not None:
+            self.on_result(i, result)
 
 
 def make_executor(

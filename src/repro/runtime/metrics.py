@@ -171,6 +171,21 @@ class RuntimeStats:
                 self.timers.get(name, 0.0) + time.perf_counter() - t0
             )
 
+    def add(self, other: "RuntimeStats") -> None:
+        """Add ``other``'s counters and timers into these.
+
+        ``jobs`` stays: it describes this context's executor.  A sweep
+        folds each whole-flow worker's stats into its own this way.
+        """
+        for f in fields(self):
+            if f.name == "jobs":
+                continue
+            if f.name == "timers":
+                for name, seconds in other.timers.items():
+                    self.timers[name] = self.timers.get(name, 0.0) + seconds
+            else:
+                setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+
     def record_fanout(self, wall_s: float, busy_s: float, tasks: int) -> None:
         """Record one executor fan-out."""
         self.parallel_wall_s += wall_s

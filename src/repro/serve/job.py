@@ -92,9 +92,11 @@ class JobSpec:
         Submitting client's identity (rate limiting and fair-share are
         per client).
     jobs / task_timeout / retries:
-        Per-job execution budget: worker processes, per-task timeout
-        and retry budget for the runtime context the job runs under.
-        Budgets never influence results, only how they are obtained.
+        Per-job execution budget of the runtime context the job runs
+        under: worker processes, per-task timeout and retry budget.  A
+        job is one flow or one search, which runs in one process
+        whatever ``jobs`` says.  Budgets never influence results, only
+        how they are obtained.
     """
 
     circuit: str

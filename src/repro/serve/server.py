@@ -226,6 +226,9 @@ class CampaignServer:
                 priority=spec.priority,
             )
             self._event("job_queued", key=job.key)
+            # A resubmitted cancelled or shed job is created again under
+            # its old key, whose feed the cancel or shed closed.
+            self.progress.reopen(job.key)
             self.progress.post(
                 job.key, "job_queued",
                 {"circuit": spec.circuit, "priority": spec.priority},

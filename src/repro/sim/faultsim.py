@@ -26,11 +26,11 @@ Two front ends share the stepping engine:
 
 :class:`FaultSimulator` optionally plugs into the runtime layer
 (:mod:`repro.runtime`): given a
-:class:`~repro.runtime.context.RuntimeContext` it (a) serves repeated
+:class:`~repro.runtime.context.RuntimeContext` it serves repeated
 ``run`` / ``detects_any`` calls from the content-addressed artifact
-cache and (b) shards whole-sequence runs across fault groups on the
-context's worker pool.  Both are behaviourally invisible — results are
-identical to the serial, uncached run.
+cache and counts its simulations in the context's stats.  Every
+simulation runs in the calling process.  The cache is behaviourally
+invisible — results are identical to the uncached run.
 """
 
 from __future__ import annotations
@@ -344,7 +344,7 @@ class FaultSimulator:
     from the all-X circuit state (the paper's no-reset assumption).
 
     ``runtime`` (a :class:`~repro.runtime.context.RuntimeContext`)
-    plugs the simulator into the artifact cache and the worker pool;
+    plugs the simulator into the artifact cache and the runtime stats;
     results never depend on it.
 
     ``pruner`` (a :class:`~repro.sim.faults.FaultPruner`) arms the
@@ -373,7 +373,7 @@ class FaultSimulator:
         self.backend = resolve_backend(backend, runtime)
         self._prune_traced = False
         self._flop_pos = {name: i for i, name in enumerate(circuit.flops)}
-        self._cache_ids_memo: Optional[Tuple[str, str]] = None
+        self._circuit_fp_memo: Optional[str] = None
         self._vec_engine = None
 
     @property
@@ -395,19 +395,18 @@ class FaultSimulator:
         """The runtime context, but only for the exact base class.
 
         Subclasses with different semantics (they would corrupt the
-        cache and the workers run plain stuck-at simulation) fall back
-        to serial, uncached behaviour unless they opt in themselves.
+        cache) fall back to uncached behaviour unless they opt in
+        themselves.
         """
         return self.runtime if type(self) is FaultSimulator else None
 
-    def _cache_ids(self) -> Tuple[str, str]:
-        """(circuit fingerprint, canonical bench text), memoized."""
-        if self._cache_ids_memo is None:
+    def _circuit_fp(self) -> str:
+        """Fingerprint of the canonical bench text, memoized."""
+        if self._circuit_fp_memo is None:
             from repro.runtime.keys import fingerprint
 
-            text = write_bench(self.circuit)
-            self._cache_ids_memo = (fingerprint(text), text)
-        return self._cache_ids_memo
+            self._circuit_fp_memo = fingerprint(write_bench(self.circuit))
+        return self._circuit_fp_memo
 
     def _artifact_key(
         self,
@@ -421,7 +420,7 @@ class FaultSimulator:
             stimulus_fingerprint,
         )
 
-        circuit_fp, _ = self._cache_ids()
+        circuit_fp = self._circuit_fp()
         config = dict(config)
         config["sim"] = type(self).__name__
         return simulation_key(
@@ -527,7 +526,7 @@ class FaultSimulator:
             ctx.stats.cache_misses += 1
             trace_event(ctx, "cache_miss", op="run", key=key)
         result = self._simulate(
-            stimulus, faults, record_lines, stop_when_all_detected, ctx
+            stimulus, faults, record_lines, stop_when_all_detected
         )
         if ctx is not None:
             ctx.stats.full_simulations += 1
@@ -541,18 +540,8 @@ class FaultSimulator:
         faults: Sequence[Fault],
         record_lines: bool,
         stop_when_all_detected: bool,
-        ctx=None,
     ) -> FaultSimResult:
-        """The actual simulation — sharded across the worker pool when
-        the runtime provides one and there is more than one group."""
-        if (
-            ctx is not None
-            and ctx.executor.jobs > 1
-            and len(faults) > GROUP_FAULTS
-        ):
-            return self._simulate_sharded(
-                stimulus, faults, record_lines, stop_when_all_detected, ctx
-            )
+        """The actual simulation, in this process."""
         if self._use_vector:
             detection, vlines = self._vector_engine().run(
                 stimulus,
@@ -583,49 +572,6 @@ class FaultSimulator:
                         lines[fault].update(nets)
                 if early_stop and not sim.active:
                     break
-        undetected = tuple(f for f in faults if f not in detection)
-        return FaultSimResult(
-            detection_time=detection,
-            undetected=undetected,
-            n_faults=len(faults),
-            lines=lines,
-        )
-
-    def _simulate_sharded(
-        self,
-        stimulus: Sequence[Sequence[Value]],
-        faults: Sequence[Fault],
-        record_lines: bool,
-        stop_when_all_detected: bool,
-        ctx,
-    ) -> FaultSimResult:
-        """Fan the fault groups out to the executor and merge.
-
-        Groups are independent (each packs its own machines into one
-        word), so the merged result is identical to the serial run for
-        any worker count.
-        """
-        _, bench_text = self._cache_ids()
-        frozen = tuple(tuple(p) for p in stimulus)
-        groups = [
-            list(faults[start : start + GROUP_FAULTS])
-            for start in range(0, len(faults), GROUP_FAULTS)
-        ]
-        parts = ctx.executor.run_fault_groups(
-            bench_text,
-            frozen,
-            groups,
-            record_lines,
-            stop_when_all_detected,
-            backend=self.backend,
-        )
-        detection: Dict[Fault, int] = {}
-        lines: Dict[Fault, Set[str]] = {f: set() for f in faults} if record_lines else {}
-        for part in parts:
-            detection.update(part.detection_time)
-            if record_lines:
-                for fault, nets in part.lines.items():
-                    lines[fault].update(nets)
         undetected = tuple(f for f in faults if f not in detection)
         return FaultSimResult(
             detection_time=detection,
@@ -739,16 +685,14 @@ class FaultSimulator:
         """Screen several stimuli against one fault sample.
 
         Verdict ``i`` is exactly ``detects_any(stimuli[i], faults)``;
-        with a multi-worker runtime the uncached screens run on the
-        pool concurrently (cached ones are answered locally), and the
-        vector backend screens all uncached stimuli in one multi-block
-        kernel pass even without a worker pool.
+        the vector backend screens all uncached stimuli in one
+        multi-block kernel pass (cached ones are answered from the
+        cache).
         """
         stimuli = list(stimuli)
-        ctx = self._ctx()
-        pooled = ctx is not None and ctx.executor.jobs > 1
-        if len(stimuli) <= 1 or not (pooled or self._use_vector):
+        if len(stimuli) <= 1 or not self._use_vector:
             return [self.detects_any(s, faults) for s in stimuli]
+        ctx = self._ctx()
         faults = list(faults)
         for fault in faults:
             validate_fault(self.circuit, fault)
@@ -782,18 +726,9 @@ class FaultSimulator:
         else:
             pending = list(range(len(stimuli)))
         if pending:
-            if pooled:
-                _, bench_text = self._cache_ids()
-                outcomes = ctx.executor.screen_batch(
-                    bench_text,
-                    [tuple(tuple(p) for p in stimuli[i]) for i in pending],
-                    list(faults),
-                    backend=self.backend,
-                )
-            else:
-                outcomes = self._vector_engine().screen_batch(
-                    [stimuli[i] for i in pending], faults
-                )
+            outcomes = self._vector_engine().screen_batch(
+                [stimuli[i] for i in pending], faults
+            )
             for i, verdict in zip(pending, outcomes):
                 verdicts[i] = verdict
                 ctx.stats.screen_simulations += 1

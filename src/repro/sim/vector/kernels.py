@@ -20,9 +20,9 @@ so one compiled function serves every program whose layout it covers:
   (:func:`~repro.sim.vector.program.covering`) and compiled at most
   once per compiled circuit.  Its own lanes' masks go at its own sites
   and zero masks everywhere else, which is exact because a zero force
-  mask is the identity.  Screens, Ω runs, reverse order, re-laned
-  survivors and pool shards are all subsets of the collapsed list, and
-  most of them stop within a few dozen steps, so they compile nothing;
+  mask is the identity.  Screens, Ω runs, reverse order and re-laned
+  survivors are all subsets of the collapsed list, and most of them
+  stop within a few dozen steps, so they compile nothing;
 * covering code costs more per step, so a program that has run
   :data:`TIER_UP_STEPS` steps compiles its own layout, and every kernel
   on it switches code and masks before its next step, keeping its
@@ -196,9 +196,9 @@ def _step_source(program: VectorProgram) -> Tuple[str, Tuple[Slot, ...]]:
 def _step_function(source: str):
     """Compile generated step ``source`` once per process.
 
-    Keyed by the source text, so every program, engine, simulator and
-    pool worker in the process reuses a function whose force layout it
-    has already compiled.  The memo holds code only; mask values stay
+    Keyed by the source text, so every program, engine and simulator in
+    the process reuses a function whose force layout it has already
+    compiled.  The memo holds code only; mask values stay
     per kernel.
     """
     namespace: dict = {}

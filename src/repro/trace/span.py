@@ -30,13 +30,15 @@ from __future__ import annotations
 import hashlib
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Tuple,
 )
@@ -373,6 +375,11 @@ class Tracer:
 
     def event(self, kind: str, **attrs: object) -> TraceEvent:
         """Append one event, attached to the current span."""
+        return self._append(kind, self.current.span_id, self._now(), attrs)
+
+    def _append(
+        self, kind: str, span_id: str, t_s: float, attrs: Mapping[str, object]
+    ) -> TraceEvent:
         if kind not in EVENT_KINDS:
             raise TraceError(
                 f"unknown trace event kind {kind!r}; expected one of "
@@ -383,8 +390,8 @@ class Tracer:
         event = TraceEvent(
             seq=len(self.events),
             kind=kind,
-            span_id=self.current.span_id,
-            t_s=self._now(),
+            span_id=span_id,
+            t_s=t_s,
             attrs={str(k): coerce_attr(v) for k, v in attrs.items()},
         )
         self.events.append(event)
@@ -394,6 +401,59 @@ class Tracer:
             except Exception:  # noqa: BLE001 - observers must not break runs
                 pass
         return event
+
+    # -- grafting -----------------------------------------------------------
+
+    def graft(self, root: Span, events: Iterable[TraceEvent]) -> None:
+        """Adopt another tracer's finished trace under the current span.
+
+        ``root``'s children become children of the current span and
+        ``events`` are appended after this tracer's own.  Every span ID
+        is derived again from its new parent as :meth:`begin` derives
+        it: a ``flow`` span from its occurrence index among same-named
+        siblings (counted on in this tracer), a ``task`` span from its
+        old ID as key.  A flow traced in a worker process and grafted
+        here thus normalizes exactly like one traced here.  Times move
+        so that the grafted trace ends now.
+        """
+        if self._finished:
+            raise TraceError("tracer is finished; nothing can be grafted")
+        parent = self.current
+        shift = self._now() - root.duration_s
+        ids = {root.span_id: parent.span_id}
+        for child in root.children:
+            parent.children.append(self._adopt(child, parent, shift, ids))
+        for event in events:
+            self._append(
+                event.kind,
+                ids.get(event.span_id, parent.span_id),
+                event.t_s + shift,
+                event.attrs,
+            )
+
+    def _adopt(
+        self, span: Span, parent: Span, shift: float, ids: Dict[str, str]
+    ) -> Span:
+        if span.category == "flow":
+            slot = (parent.span_id, span.name)
+            index = self._occurrences.get(slot, 0)
+            self._occurrences[slot] = index + 1
+            token = str(index)
+        else:
+            token = span.span_id
+        adopted = replace(
+            span,
+            span_id=span_id_for(parent.span_id, span.name, token),
+            parent_id=parent.span_id,
+            t_start_s=span.t_start_s + shift,
+            t_end_s=None if span.t_end_s is None else span.t_end_s + shift,
+            children=[],
+        )
+        ids[span.span_id] = adopted.span_id
+        adopted.children = [
+            self._adopt(child, adopted, shift, ids) for child in span.children
+        ]
+        return adopted
 
     # -- sealing ------------------------------------------------------------
 

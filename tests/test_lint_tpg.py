@@ -264,6 +264,38 @@ class TestDesignIo:
         assert len(lines) == 1 and lines[0].startswith("repro: error:")
         assert f"'lfsr.{field}'" in lines[0]
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("l_g", 0), ("l_g", -5), ("l_g", True), ("assignments", [])],
+    )
+    def test_degenerate_window_or_assignments_is_one_error_line(
+        self, tmp_path, capsys, field, value
+    ):
+        # Such a design used to load, and verify_tpg compared nothing
+        # and passed it (cycles_checked 0 or negative).
+        design = _design(["01", "1"], l_g=8)
+        path = tmp_path / "design.json"
+        save_design(design, path)
+        payload = json.loads(path.read_text())
+        payload[field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(HardwareError, match=f"'{field}'"):
+            load_design(path)
+        rc = main(["lint", str(path)])
+        captured = capsys.readouterr()
+        lines = [line for line in captured.err.splitlines() if line]
+        assert rc == 1
+        assert len(lines) == 1 and lines[0].startswith("repro: error:")
+        assert f"'{field}'" in lines[0]
+
+    @pytest.mark.parametrize(
+        "change", [{"l_g": 0}, {"l_g": -5}, {"assignments": ()}]
+    )
+    def test_verify_rejects_degenerate_in_memory_design(self, change):
+        design = dataclasses.replace(_design(["01", "1"], l_g=8), **change)
+        with pytest.raises(HardwareError):
+            verify_tpg(design)
+
     def test_wrong_kind_raises_linterror(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text(json.dumps({"kind": "something-else"}))

@@ -1,9 +1,12 @@
-"""Determinism of the runtime layer's parallel execution.
+"""Determinism of the runtime layer under any worker count.
 
 The hard requirement on :mod:`repro.runtime` is that results are
-bit-identical to the serial run for any worker count: fault-group
-sharding, batched candidate screening and the full Section-4.2
-procedure must all produce exactly what ``jobs=1`` produces.
+bit-identical to the serial run for any worker count: whole-sequence
+runs, batched candidate screening and the full Section-4.2 procedure
+under a multi-worker context must all produce exactly what ``jobs=1``
+produces.  Below the sweep level the worker count is inert — a single
+flow runs in one process — and ``tests/test_resilience_sweep.py``
+covers the sweep, where the pool runs whole flows.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.errors import ServeError
 from repro.serve import ServeClient, ServerConfig, ServerThread
 from repro.serve.http import HttpRequest
 from repro.serve.job import JobSpec
+from repro.serve.queue import JobQueue
 from repro.serve.server import CampaignServer
 
 FAST = dict(circuit="s27", tgen_max_len=256, compaction_sims=8, l_g=64)
@@ -148,3 +150,37 @@ def test_feed_stays_open_until_the_book_closes(tmp_path):
     kinds = [e["kind"] for e in first["events"] + second["events"]]
     assert kinds == ["job_queued", "job_running", "job_done"]
     assert second["closed"] is True and second["state"] == "done"
+
+
+def test_resubmitted_cancelled_job_reopens_its_feed(tmp_path, monkeypatch):
+    # Resubmitting a cancelled job creates it again under the same key.
+    # The cancel closed its feed; the revival must reopen it, or a
+    # watcher stops at the second ``job_queued`` and never sees the run.
+    # The queue is held until the revival is checked, so the cancel
+    # always hits a queued job.
+    gate = threading.Event()
+    claim = JobQueue.claim_next
+
+    def gated_claim(self):
+        return claim(self) if gate.is_set() else None
+
+    monkeypatch.setattr(JobQueue, "claim_next", gated_claim)
+    config = ServerConfig(state_dir=tmp_path / "state", port=0)
+    with ServerThread(config) as url:
+        client = ServeClient(url)
+        spec = fast_spec(seed=8)
+        key = client.submit(spec)["key"]
+        client.cancel(key)
+        revived = client.submit(spec)
+        assert revived["key"] == key and revived["created"] is True
+        feed = client.events(key, timeout_s=0.0)
+        assert feed["closed"] is False
+        assert [e["kind"] for e in feed["events"]] == [
+            "job_queued", "job_cancelled", "job_queued"
+        ]
+        gate.set()
+        kinds = [e["kind"] for e in client.watch(key, timeout_s=120.0)]
+        final = client.events(key)
+    assert kinds[-1] == "job_done"
+    assert "job_running" in kinds[3:]
+    assert final["closed"] is True and final["state"] == "done"

@@ -5,7 +5,8 @@ The same flow run serially, with ``--jobs 4``, against a warm cache,
 and under chaos injection must produce byte-identical normalized span
 trees and deterministic event sequences — execution strategy may only
 show up in the parts normalization strips (timings, task spans,
-runtime events).
+runtime events).  The same holds for a Table-6 sweep whose flows ran
+in worker processes and were grafted into the parent's trace.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.procedure import ProcedureConfig
+from repro.flows import clear_cache, table6_rows
 from repro.flows.full_flow import FlowConfig, run_full_flow
 from repro.runtime import RuntimeContext
 from repro.trace import normalized_json
@@ -124,3 +126,61 @@ def test_span_tree_attributes_every_flow_phase(s27, serial_golden):
     # the selection loop traces each target time u
     assert counts.get("target_time", 0) >= 1
     assert counts.get("mine_candidates", 0) >= 1
+
+
+# -- a Table-6 sweep whose flows ran on the pool ------------------------------
+
+SWEEP = ("s27", "g208")
+
+
+def _traced_sweep(**runtime_kwargs):
+    clear_cache()
+    try:
+        with RuntimeContext(trace=True, **runtime_kwargs) as rt:
+            rows = table6_rows(SWEEP, runtime=rt)
+            root = rt.tracer.finish()
+            return rows, normalized_json(root, rt.tracer.events), rt.stats
+    finally:
+        clear_cache()
+
+
+@pytest.fixture(scope="module")
+def serial_sweep_golden():
+    return _traced_sweep()
+
+
+@pytest.mark.parametrize(
+    "runtime_kwargs",
+    [
+        dict(jobs=2),
+        dict(jobs=3),
+        dict(jobs=2, retries=3, backoff_s=0.0,
+             chaos="crash=0.3,corrupt=0.3,seed=3"),
+        dict(jobs=2, retries=1, backoff_s=0.0, task_timeout=0.5,
+             chaos="hang=1.0,seed=9,hang_s=2.0"),
+    ],
+    ids=["jobs2", "jobs3", "jobs2-crash-corrupt", "jobs2-hang"],
+)
+def test_parallel_sweep_trace_matches_serial(
+    serial_sweep_golden, runtime_kwargs
+):
+    rows, golden, _ = serial_sweep_golden
+    got_rows, got, stats = _traced_sweep(**runtime_kwargs)
+    assert got == golden
+    assert got_rows == rows
+    assert stats.tasks_dispatched == len(SWEEP)
+    if "chaos" in runtime_kwargs:
+        recoveries = (
+            stats.worker_crashes + stats.corrupt_results + stats.task_timeouts
+        )
+        assert recoveries > 0
+
+
+def test_sweep_trace_attributes_each_flow(serial_sweep_golden):
+    import json
+
+    _, golden, _ = serial_sweep_golden
+    (sweep,) = json.loads(golden)["spans"]["children"]
+    assert sweep["name"] == "table6_sweep"
+    flows = [c for c in sweep["children"] if c["name"] == "full_flow"]
+    assert [f["attrs"]["circuit"] for f in flows] == list(SWEEP)

@@ -224,3 +224,54 @@ class TestSpanSerialization:
     def test_malformed_payloads_raise(self, payload):
         with pytest.raises(TraceError):
             Span.from_dict(payload)
+
+
+class TestGraft:
+    @staticmethod
+    def _flow(t, circuit):
+        with t.span("full_flow", circuit=circuit):
+            with t.span("phase"):
+                t.event("stage", name="phase")
+            t.add_task_span("fault_group", "digest", 0.01)
+            with t.span("phase"):
+                pass
+
+    def test_grafted_trace_normalizes_like_a_local_one(self):
+        from repro.trace import normalized_json
+
+        local = Tracer()
+        with local.span("sweep"):
+            for circuit in ("a", "b"):
+                self._flow(local, circuit)
+        grafted = Tracer()
+        with grafted.span("sweep"):
+            for circuit in ("a", "b"):
+                worker = Tracer()
+                self._flow(worker, circuit)
+                root = Span.from_dict(worker.finish().to_dict())
+                grafted.graft(root, worker.events)
+        assert normalized_json(grafted.finish(), grafted.events) == (
+            normalized_json(local.finish(), local.events)
+        )
+
+    def test_graft_renumbers_events_and_keeps_task_spans(self):
+        t = Tracer()
+        t.event("note", text="own")
+        worker = Tracer()
+        self._flow(worker, "a")
+        with t.span("sweep") as sweep:
+            t.graft(worker.finish(), worker.events)
+        assert [e.seq for e in t.events] == [0, 1]
+        (flow,) = sweep.children
+        phase = flow.children[0]
+        assert t.events[1].span_id == phase.span_id
+        (task,) = [c for c in flow.children if c.category == "task"]
+        assert task.parent_id == flow.span_id
+        # Shifted onto this tracer's clock: the grafted flow ends by now.
+        assert 0.0 <= flow.t_start_s <= flow.t_end_s <= t._now()
+
+    def test_graft_after_finish_raises(self):
+        t = Tracer()
+        t.finish()
+        with pytest.raises(TraceError):
+            t.graft(Tracer().finish(), [])

@@ -9,8 +9,8 @@
   random-walk generator miss.
 * :mod:`repro.analysis.static` — the static implication engine and
   provable-redundancy identifier: value-set constant propagation,
-  learned implications, and per-fault untestability certificates that
-  drive the certified fault pre-prune.
+  learned implications, and per-fault untestability certificates,
+  reported by ``repro analyze`` and by ``--static-prune`` flows.
 """
 
 from repro.analysis.scoap import ScoapMeasures, compute_scoap

@@ -5,7 +5,7 @@ analyses, implication learning, per-fault redundancy proofs — and
 packages the results as one canonical JSON-ready payload: the payload
 the ``repro analyze`` CLI emits, the artifact cache stores
 (content-addressed under :func:`repro.runtime.keys.analysis_key`), and
-the serve/flow layers report pruned faults from.
+the serve/flow layers build their proved-untestable reports from.
 
 A :class:`StaticAnalysis` wraps the payload with typed accessors; when
 rebuilt from a cache hit it re-proves nothing, and faults outside the

@@ -121,10 +121,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="write the full TPG design (netlist + Ω + L_G) as "
                         "JSON, reloadable by `repro lint`")
     p.add_argument("--static-prune", action="store_true",
-                   help="exclude faults the static implication engine "
-                        "proves untestable from fault simulation; pruned "
-                        "faults are reported, all other outputs are "
-                        "identical")
+                   help="also report the faults the static implication "
+                        "engine proves untestable, each with a "
+                        "certificate (a report only: every fault is "
+                        "still simulated, all other output is identical)")
     _add_runtime_flags(p)
     p.set_defaults(handler=_cmd_flow)
 
@@ -201,10 +201,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--save-tpg", type=Path, default=None, metavar="PATH",
                    help="save the best-coverage front point as a TPG "
                         "design carrying the full weight alphabet")
-    p.add_argument("--static-prune", action="store_true",
-                   help="exclude statically-proved-untestable faults from "
-                        "phase fault simulation (scores and front are "
-                        "identical either way)")
     _add_runtime_flags(p)
     p.set_defaults(handler=_cmd_optimize)
 
@@ -387,8 +383,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generations", type=int, default=2, metavar="N",
                    help="optimize-task generation count (default: 2)")
     p.add_argument("--static-prune", action="store_true",
-                   help="run the certified static pre-prune; the result "
-                        "reports the proved-untestable faults")
+                   help="also report the faults the static implication "
+                        "engine proves untestable (a flow result gains a "
+                        "proved_untestable section; nothing else changes)")
     p.add_argument("--sim-backend", default="auto",
                    choices=("auto", "python", "vector"),
                    help="fault-simulation backend the job runs with; "
@@ -669,8 +666,8 @@ def _cmd_flow(args: argparse.Namespace) -> int:
           f"{100 * flow.generated.coverage:.1f}% of the collapsed fault list")
     if flow.pruned is not None:
         print(f"proved untestable: {flow.pruned.n_pruned}/"
-              f"{flow.pruned.n_faults} faults excluded from simulation "
-              "(each carries a certificate; denominators unchanged)")
+              f"{flow.pruned.n_faults} faults, each certified "
+              "(a report only; denominators unchanged)")
     print(f"TPG verified: {flow.tpg_verified}")
     if flow.tpg is not None:
         if args.verilog is not None:
@@ -799,7 +796,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         l_g=args.lg,
         tgen_max_len=args.tgen_max_len,
         compaction_sims=args.compaction_sims,
-        static_prune=args.static_prune,
         sim_backend=args.sim_backend,
     )
     with _make_runtime(args) as runtime, handle_termination():

@@ -294,7 +294,7 @@ def select_weight_assignments(
         faults = collapse_faults(circuit)
     # Speculative screening batches pay off with the vector backend:
     # several candidate sequences share one multi-block kernel pass.
-    batch_size = 8 if getattr(sim, "_use_vector", False) else 1
+    batch_size = 8 if getattr(sim, "backend", None) == "vector" else 1
 
     l_g = max(cfg.l_g, len(sequence))
     with traced(runtime, "initial_simulation", faults=len(faults)):

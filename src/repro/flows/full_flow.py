@@ -43,7 +43,6 @@ from repro.runtime.keys import (
 from repro.sim.compile import compile_circuit
 from repro.sim.collapse import collapse_faults
 from repro.sim.faults import Fault, FaultPruner, PruneReport, fault_name
-from repro.sim.faultsim import FaultSimulator
 from repro.tgen.compaction import CompactionResult, compact_sequence
 from repro.tgen.random_tgen import (
     CANDIDATES,
@@ -82,12 +81,11 @@ class FlowConfig:
     synthesize_hardware:
         Also synthesize and verify the TPG for the kept assignments.
     static_prune:
-        Run the static implication engine first and exclude faults it
-        proves untestable from the weight-selection and reverse-order
-        fault simulations.  Every excluded fault carries a
-        machine-checkable certificate and is reported in
-        :attr:`FlowResult.pruned`; coverage denominators and every
-        other output are identical to an unpruned run.
+        Also run the static implication engine and report the faults
+        it proves untestable, each with a machine-checkable
+        certificate, in :attr:`FlowResult.pruned`.  A report only:
+        every fault is still simulated, so every other output is
+        identical to a run without it.
     sim_backend:
         Fault-simulation backend for every stage
         (``"auto"``/``"python"``/``"vector"``).  Backends are
@@ -130,8 +128,8 @@ class FlowResult:
         Replay-verification verdict for the TPG (None unless
         synthesized).
     pruned:
-        Report of faults proved untestable and excluded from fault
-        simulation (None unless :attr:`FlowConfig.static_prune`).
+        Report of the faults proved untestable, with their certificate
+        kinds (None unless :attr:`FlowConfig.static_prune`).
     timings:
         Per-stage wall-clock seconds.
     runtime_stats:
@@ -284,23 +282,14 @@ def _run_stages(
     faults = collapse_faults(circuit)
     timings: Dict[str, float] = {}
 
-    # Certified pre-prune: arm the shared fault simulator with the
-    # static analysis verdicts.  Only the simulation-side stages use it
-    # (test generation still targets the full universe — its sequence
-    # must not depend on the prune), and the armed simulator rebuilds
-    # every result over the full fault list, so all flow outputs except
-    # the explicit `pruned` report are identical either way.
+    # The certificate report: which faults of the list the static
+    # implication engine proves untestable.  It feeds no simulation, so
+    # every other flow output is identical with and without it.
     pruned_report: Optional[PruneReport] = None
-    sim: Optional[FaultSimulator] = None
     if cfg.static_prune:
         t0 = time.perf_counter()
         with traced(runtime, "static_analysis_stage"):
-            pruner = FaultPruner(circuit, runtime=runtime)
-            pruned_report = pruner.report(faults)
-            sim = FaultSimulator(
-                circuit, comp, runtime=runtime, pruner=pruner,
-                backend=cfg.sim_backend,
-            )
+            pruned_report = FaultPruner(circuit, runtime=runtime).report(faults)
         timings["static_analysis"] = time.perf_counter() - t0
         trace_event(
             runtime,
@@ -357,7 +346,7 @@ def _run_stages(
     with traced(runtime, "procedure", l_g=cfg.procedure.l_g):
         procedure = select_weight_assignments(
             circuit, sequence, faults, cfg.procedure, compiled=comp,
-            simulator=sim, runtime=runtime, sim_backend=cfg.sim_backend,
+            runtime=runtime, sim_backend=cfg.sim_backend,
         )
     timings["procedure"] = time.perf_counter() - t0
     trace_event(
@@ -367,7 +356,7 @@ def _run_stages(
     t0 = time.perf_counter()
     with traced(runtime, "reverse_order"):
         reverse_order = reverse_order_simulation(
-            circuit, procedure, comp, simulator=sim, runtime=runtime,
+            circuit, procedure, comp, runtime=runtime,
             sim_backend=cfg.sim_backend,
         )
     timings["reverse_order"] = time.perf_counter() - t0

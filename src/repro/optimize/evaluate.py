@@ -29,7 +29,7 @@ from repro.core.assignment import WeightAssignment
 from repro.hw.cost import tpg_cost
 from repro.hw.tpg import synthesize_tpg
 from repro.sim.compile import CompiledCircuit, compile_circuit
-from repro.sim.faults import Fault, FaultPruner, fault_name
+from repro.sim.faults import Fault, fault_name
 from repro.sim.faultsim import FaultSimulator
 from repro.trace import trace_event
 
@@ -56,13 +56,6 @@ class PhaseEvaluator:
         Optional :class:`~repro.runtime.context.RuntimeContext`; plugs
         in the artifact cache and the runtime stats.  Results never
         depend on it.
-    pruner:
-        Optional :class:`~repro.sim.faults.FaultPruner`.  Faults it
-        certifies untestable are excluded from the simulation groups
-        only; ``self.faults`` (and with it every cache key, payload
-        denominator and coverage count) still spans the full target
-        list, so results — and cached artifacts — are shared verbatim
-        with unpruned evaluators.
     backend:
         Fault-simulation backend selector (resolved against ``runtime``
         and the environment, see
@@ -77,7 +70,6 @@ class PhaseEvaluator:
         target_faults: Sequence[Fault],
         runtime=None,
         compiled: CompiledCircuit | None = None,
-        pruner: Optional[FaultPruner] = None,
         backend: Optional[str] = None,
     ) -> None:
         from repro.sim.backend import resolve_backend
@@ -87,11 +79,6 @@ class PhaseEvaluator:
         self.faults: Tuple[Fault, ...] = tuple(target_faults)
         self.runtime = runtime
         self.backend = resolve_backend(backend, runtime)
-        if pruner is not None:
-            kept, _ = pruner.split(self.faults)
-            self._sim_faults: Tuple[Fault, ...] = tuple(kept)
-        else:
-            self._sim_faults = self.faults
         self._bench_text = write_bench(circuit)
         self._memo: Dict[PhaseKey, FrozenSet[str]] = {}
         self._area_memo: Dict[Tuple[Tuple[Tuple[str, ...], ...], int], float] = {}
@@ -173,16 +160,13 @@ class PhaseEvaluator:
     ) -> None:
         """Simulate the remaining phases in this process, in order.
 
-        Only the kept faults are simulated — certified-untestable faults
-        cannot contribute detections, so the detected-name sets (and
-        everything cached under ``self.faults``) are unchanged.  The
-        vector backend runs all pending phases in one batched pass.
+        The vector backend runs all pending phases in one batched pass.
         """
         if not pending:
             return
         sim = FaultSimulator(self.circuit, self.comp, backend=self.backend)
         results = sim.run_batch(
-            [list(stimuli[key]) for key in pending], list(self._sim_faults)
+            [list(stimuli[key]) for key in pending], list(self.faults)
         )
         for key, result in zip(pending, results):
             names = [fault_name(f) for f in result.detection_time]

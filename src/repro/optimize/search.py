@@ -78,12 +78,6 @@ class OptimizeConfig:
     tgen_mode / tgen_max_len / compaction_sims / l_g:
         Baseline-flow knobs, used only when ``run_optimize`` computes
         the flow itself.
-    static_prune:
-        Exclude statically-certified untestable faults from phase
-        fault simulation (and from the baseline flow's simulations).
-        Scores, fronts and cached artifacts are identical either way —
-        pruned faults are never detectable — so this is purely a
-        speed/reporting knob.
     sim_backend:
         Fault-simulation backend for phase evaluation and the baseline
         flow (``"auto"``/``"python"``/``"vector"``).  Backends are
@@ -101,7 +95,6 @@ class OptimizeConfig:
     tgen_max_len: int = 2000
     compaction_sims: int = 60
     l_g: int = 512
-    static_prune: bool = False
     sim_backend: str = "auto"
 
     def __post_init__(self) -> None:
@@ -176,7 +169,6 @@ def _flow_config(config: OptimizeConfig) -> FlowConfig:
         tgen_mode=config.tgen_mode,
         compaction_sims=config.compaction_sims,
         procedure=ProcedureConfig(l_g=config.l_g),
-        static_prune=config.static_prune,
         sim_backend=config.sim_backend,
     )
 
@@ -233,17 +225,9 @@ class _Search:
         )
         self.max_phases = config.max_phases or max(len(kept), 2)
         self.n_inputs = len(circuit.inputs)
-        pruner = None
-        if config.static_prune:
-            from repro.sim.faults import FaultPruner
-
-            # The analysis is content-addressed, so when the baseline
-            # flow already ran it (static_prune flows do) this is a
-            # cache hit, not a second multi-second pass.
-            pruner = FaultPruner(circuit, runtime=runtime)
         self.evaluator = PhaseEvaluator(
             circuit, flow.procedure.target_faults, runtime=runtime,
-            pruner=pruner, backend=config.sim_backend,
+            backend=config.sim_backend,
         )
         self.archive: Dict[Genome, Objectives] = {}
         self.population: List[Genome] = []

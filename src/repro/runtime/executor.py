@@ -34,8 +34,8 @@ actually meets, under the knobs of a
 
 * a **crashed worker** (``BrokenProcessPool``) retires the pool,
   rebuilds it, and re-dispatches the unfinished tasks;
-* a **hung worker** (no result within ``task_timeout``) is abandoned
-  with its pool and the victim task retried;
+* a **hung worker** (no result within ``task_timeout``) is killed
+  with its pool's other workers and the victim task retried;
 * a **corrupted payload** (a result that fails shape validation, e.g.
   injected by the chaos harness) is discarded and the task retried;
 * a task that keeps failing past ``retries`` attempts is **replayed
@@ -368,13 +368,27 @@ class ProcessExecutor:
         return pool.submit(fn, task)
 
     def _retire_pool(self) -> None:
-        """Throw the current pool away; degrade after repeated failures."""
+        """Throw the current pool away and stop its workers; degrade
+        after repeated failures.
+
+        A hung worker left alone runs its task to the end for nothing,
+        and interpreter exit waits for it.  So every worker is killed
+        and joined.  Python 3.11 has no public call for a pool's
+        processes, hence ``_processes``.  SIGKILL, not SIGTERM: a worker
+        forked under the CLI inherits its SIGTERM handler, which only
+        raises inside the task.
+        """
         pool, self._pool = self._pool, None
         if pool is not None:
+            workers = list((pool._processes or {}).values())
             try:
                 pool.shutdown(wait=False, cancel_futures=True)
             except Exception:
                 pass
+            for worker in workers:
+                worker.kill()
+            for worker in workers:
+                worker.join()
         self.stats.pool_rebuilds += 1
         self._rebuilds += 1
         self._event("pool_rebuild", rebuilds=self._rebuilds)
@@ -452,8 +466,8 @@ class ProcessExecutor:
         broken = False
         for i, fut in futures:
             if broken:
-                # The pool is gone; harvest whatever already finished
-                # and resubmit the rest without blame.
+                # The pool is to be retired; harvest whatever already
+                # finished and resubmit the rest without blame.
                 if fut.cancelled():
                     innocent.append(i)
                 elif fut.done():
@@ -478,7 +492,6 @@ class ProcessExecutor:
                 self._event("task_timeout", task=task_digest(tasks[i]))
                 blamed.append(i)
                 broken = True
-                self._retire_pool()
                 continue
             except BrokenProcessPool:
                 # A worker died; every unfinished task is suspect.
@@ -486,13 +499,17 @@ class ProcessExecutor:
                 self._event("worker_crash", task=task_digest(tasks[i]))
                 blamed.append(i)
                 broken = True
-                self._retire_pool()
                 continue
             # Any other exception is a deterministic error raised by
             # the task itself (bad circuit, invalid fault, ...) —
             # retrying cannot change it, so it propagates.  The
             # enclosing finally still records the fan-out.
             self._accept(batch, i, result, elapsed, blamed)
+        if broken:
+            # Retired only once every future is harvested: stopping the
+            # workers fails their running futures, which would turn an
+            # innocent task (one merely displaced) into a blamed one.
+            self._retire_pool()
         return blamed, innocent
 
     def _accept(

@@ -77,9 +77,10 @@ class JobSpec:
         The search budget; only meaningful (and only part of the job
         key) when ``task == "optimize"``.
     static_prune:
-        Run the certified static pre-prune before fault simulation;
-        the result gains a ``proved_untestable`` section and the job
-        key changes only when the flag is set (old keys stay valid).
+        Also report the faults the static implication engine proves
+        untestable: a flow's result gains a ``proved_untestable``
+        section, and nothing else in it changes.  The job key changes
+        only when the flag is set (old keys stay valid).
     sim_backend:
         Fault-simulation backend (``"auto"``/``"python"``/``"vector"``).
         Backends are bit-identical, so — like the execution budget — it
@@ -225,7 +226,6 @@ class JobSpec:
             tgen_mode=self.tgen_mode,
             tgen_max_len=self.tgen_max_len,
             compaction_sims=self.compaction_sims,
-            static_prune=self.static_prune,
             sim_backend=self.sim_backend,
         )
 

@@ -34,8 +34,8 @@ MAX_WAIT_S = 60.0
 PROGRESS_KINDS = frozenset(DETERMINISTIC_KINDS)
 """Tracer event kinds forwarded from a running job into the book —
 exactly the deterministic kinds, which fire at phase granularity
-(``stage``, ``generation``, ``front``, ``analysis``, ``prune``,
-``omega``, ``reverse``, ``note``) and are therefore bounded per job."""
+(``stage``, ``generation``, ``front``, ``analysis``, ``omega``,
+``reverse``, ``note``) and are therefore bounded per job."""
 
 
 class ProgressBook:

@@ -40,9 +40,9 @@ def flow_result_payload(flow: FlowResult) -> Dict[str, object]:
     count and the TPG verification verdict — and nothing
     machine-dependent (no timings, no runtime counters).
 
-    Flows run with the certified pre-prune additionally report the
-    ``proved_untestable`` section; every other key is byte-identical to
-    an unpruned run of the same spec.
+    Flows run with ``static_prune`` additionally carry the
+    ``proved_untestable`` certificate report; every other key is
+    byte-identical to a run of the same spec without it.
     """
     payload: Dict[str, object] = {
         "format": RESULT_FORMAT,

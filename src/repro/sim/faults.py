@@ -97,12 +97,13 @@ def all_faults(circuit: Circuit) -> List[Fault]:
 
 @dataclass(frozen=True)
 class PruneReport:
-    """Outcome of a certified static pre-prune over one fault list.
+    """The certificate report over one fault list.
 
     ``pruned`` holds ``(canonical fault name, certificate kind)`` pairs,
-    sorted by name.  The report is what flows and serve jobs surface so
-    that pruned faults are *reported, never silently dropped* — coverage
-    denominators keep counting them.
+    sorted by name: the faults the static implication engine proves
+    untestable.  Flows and serve jobs surface it as a proof to show,
+    not as a simulation shortcut — every listed fault is still
+    simulated and still counted in every coverage denominator.
     """
 
     n_faults: int
@@ -110,12 +111,12 @@ class PruneReport:
 
     @property
     def n_pruned(self) -> int:
-        """Faults removed from simulation (each carries a certificate)."""
+        """Faults proved untestable (each carries a certificate)."""
         return len(self.pruned)
 
     @property
     def n_kept(self) -> int:
-        """Faults that remain to be simulated."""
+        """Faults with no untestability proof."""
         return self.n_faults - len(self.pruned)
 
     def to_payload(self) -> Dict[str, object]:
@@ -130,20 +131,15 @@ class PruneReport:
 
 
 class FaultPruner:
-    """Certified fault pre-prune backed by the static implication engine.
+    """Untestability certificates for fault lists, as a report.
 
     Wraps a :class:`repro.analysis.static.StaticAnalysis` (computed on
-    demand when not supplied) and partitions fault lists into the
-    *kept* faults worth simulating and the *pruned* faults proved
-    untestable — each pruned fault backed by a machine-checkable
-    certificate (:meth:`certificate`).
+    demand when not supplied) and reports which faults of a list it
+    proves untestable, each backed by a machine-checkable certificate
+    (:meth:`certificate`).
 
-    Soundness contract: a certified-untestable fault is never detected
-    by the fault simulator, so removing it from a simulation changes no
-    detection outcome.  Consumers must still report pruned faults and
-    keep them in coverage denominators; the simulator integration
-    (:class:`repro.sim.faultsim.FaultSimulator`) rebuilds its results
-    over the caller's original fault list for exactly that reason.
+    The claim the report rests on: the fault simulator never detects a
+    certified fault.  Nothing uses the report to skip simulation.
     """
 
     def __init__(
@@ -164,28 +160,14 @@ class FaultPruner:
         """The fault's untestability certificate, or ``None``."""
         return self.analysis.verdict(fault)
 
-    def split(
-        self, faults: Sequence[Fault]
-    ) -> Tuple[List[Fault], List[Fault]]:
-        """Partition ``faults`` into (kept, pruned), preserving order."""
-        kept: List[Fault] = []
-        pruned: List[Fault] = []
-        for fault in faults:
-            if self.certificate(fault) is None:
-                kept.append(fault)
-            else:
-                pruned.append(fault)
-        return kept, pruned
-
     def report(self, faults: Sequence[Fault]) -> PruneReport:
         """A :class:`PruneReport` over ``faults``."""
         faults = list(faults)
-        _, pruned = self.split(faults)
         entries = []
-        for fault in pruned:
+        for fault in faults:
             certificate = self.certificate(fault)
-            assert certificate is not None  # split() put it in pruned
-            entries.append((fault_name(fault), certificate.kind))
+            if certificate is not None:
+                entries.append((fault_name(fault), certificate.kind))
         return PruneReport(n_faults=len(faults), pruned=tuple(sorted(entries)))
 
 

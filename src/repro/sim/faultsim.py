@@ -36,7 +36,7 @@ invisible — results are identical to the uncached run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.circuit.bench import write_bench
 from repro.circuit.netlist import Circuit
@@ -53,7 +53,7 @@ from repro.sim.compile import (
     compile_circuit,
 )
 from repro.sim.backend import resolve_backend
-from repro.sim.faults import Fault, FaultPruner, fault_name, validate_fault
+from repro.sim.faults import Fault, fault_name, validate_fault
 from repro.sim.values import V0, V1, VX, Value
 from repro.sim.vector.kernels import WORD_BITS
 from repro.trace import trace_event
@@ -345,17 +345,8 @@ class FaultSimulator:
 
     ``runtime`` (a :class:`~repro.runtime.context.RuntimeContext`)
     plugs the simulator into the artifact cache and the runtime stats;
-    results never depend on it.
-
-    ``pruner`` (a :class:`~repro.sim.faults.FaultPruner`) arms the
-    certified pre-prune: faults proved untestable by the static
-    implication engine are excluded from simulation, but results are
-    always rebuilt over the caller's full fault list — the pruned
-    faults reappear among ``undetected`` and ``n_faults`` counts them,
-    so coverage denominators and detection outcomes are identical to an
-    unpruned run (certified faults are never detectable).  Pruning is
-    skipped for line-recording runs, whose per-net discrepancy sets are
-    meaningful even for unobservable faults.
+    results never depend on it.  :meth:`run`, :meth:`detects_any` and
+    their batch forms share one cache protocol (:meth:`_cached`).
     """
 
     def __init__(
@@ -363,24 +354,15 @@ class FaultSimulator:
         circuit: Circuit,
         compiled: CompiledCircuit | None = None,
         runtime=None,
-        pruner: Optional[FaultPruner] = None,
         backend: Optional[str] = None,
     ) -> None:
         self.circuit = circuit
         self.comp = compiled or compile_circuit(circuit)
         self.runtime = runtime
-        self.pruner = pruner
         self.backend = resolve_backend(backend, runtime)
-        self._prune_traced = False
         self._flop_pos = {name: i for i, name in enumerate(circuit.flops)}
         self._circuit_fp_memo: Optional[str] = None
         self._vec_engine = None
-
-    @property
-    def _use_vector(self) -> bool:
-        """Vector kernel applies only to the exact base class — subclasses
-        carry different step semantics the kernel does not implement."""
-        return self.backend == "vector" and type(self) is FaultSimulator
 
     def _vector_engine(self):
         if self._vec_engine is None:
@@ -389,16 +371,14 @@ class FaultSimulator:
             self._vec_engine = VectorEngine(self.comp, self._flop_pos)
         return self._vec_engine
 
+    def _validated(self, faults: Sequence[Fault]) -> List[Fault]:
+        """``faults`` as a list, each checked against the circuit."""
+        faults = list(faults)
+        for fault in faults:
+            validate_fault(self.circuit, fault)
+        return faults
+
     # -- runtime plumbing ---------------------------------------------------
-
-    def _ctx(self):
-        """The runtime context, but only for the exact base class.
-
-        Subclasses with different semantics (they would corrupt the
-        cache) fall back to uncached behaviour unless they opt in
-        themselves.
-        """
-        return self.runtime if type(self) is FaultSimulator else None
 
     def _circuit_fp(self) -> str:
         """Fingerprint of the canonical bench text, memoized."""
@@ -420,15 +400,59 @@ class FaultSimulator:
             stimulus_fingerprint,
         )
 
-        circuit_fp = self._circuit_fp()
-        config = dict(config)
-        config["sim"] = type(self).__name__
         return simulation_key(
-            circuit_fp,
+            self._circuit_fp(),
             stimulus_fingerprint(stimulus),
             faults_fingerprint(faults),
-            config,
+            {**config, "sim": "FaultSimulator"},
         )
+
+    def _cached(
+        self,
+        stimuli: Sequence[Sequence[Sequence[Value]]],
+        faults: Sequence[Fault],
+        config: Dict[str, object],
+        simulate: Callable[[List[Sequence[Sequence[Value]]]], list],
+    ) -> list:
+        """One answer per stimulus, from the artifact cache or ``simulate``.
+
+        ``config`` completes the artifact key; its ``kind`` (``"run"``
+        or ``"screen"``) picks the payload codec, the hit and simulation
+        counters, and the ``op`` of the trace events.  Each stimulus's
+        key is looked up in order: a hit is answered and counted, a miss
+        counted.  All misses then go to one ``simulate`` call, which
+        returns their answers in order, and each is counted and stored.
+        Without a runtime nothing is cached or counted.
+        """
+        ctx = self.runtime
+        if ctx is None:
+            return simulate(list(stimuli))
+        kind = config["kind"]
+        decode, encode, hit_counter, sim_counter = _CACHE_OPS[kind]
+        answers: list = [None] * len(stimuli)
+        keys: List[Optional[str]] = [None] * len(stimuli)
+        pending: List[int] = []
+        for i, stimulus in enumerate(stimuli):
+            if ctx.cache is not None:
+                keys[i] = key = self._artifact_key(stimulus, faults, config)
+                payload = ctx.cache.get(key)
+                if payload is not None:
+                    answers[i] = decode(payload, faults, config)
+                if answers[i] is not None:
+                    _bump(ctx.stats, hit_counter)
+                    trace_event(ctx, "cache_hit", op=kind, key=key)
+                    continue
+                ctx.stats.cache_misses += 1
+                trace_event(ctx, "cache_miss", op=kind, key=key)
+            pending.append(i)
+        if pending:
+            fresh = simulate([stimuli[i] for i in pending])
+            for i, answer in zip(pending, fresh):
+                answers[i] = answer
+                _bump(ctx.stats, sim_counter)
+                if keys[i] is not None:
+                    ctx.cache.put(keys[i], encode(answer, config))
+        return answers
 
     # -- whole-sequence runs ------------------------------------------------
 
@@ -458,80 +482,17 @@ class FaultSimulator:
             continues after the last detection — so it is not part of
             the cache key.)
         """
-        faults = list(faults)
-        for fault in faults:
-            validate_fault(self.circuit, fault)
-        kept = None if record_lines else self._prune(faults)
-        if kept is not None:
-            inner = self._run_validated(
-                stimulus, kept, record_lines, stop_when_all_detected
-            )
-            detection = dict(inner.detection_time)
-            return FaultSimResult(
-                detection_time=detection,
-                undetected=tuple(f for f in faults if f not in detection),
-                n_faults=len(faults),
-                lines=inner.lines,
-            )
-        return self._run_validated(
-            stimulus, faults, record_lines, stop_when_all_detected
+        faults = self._validated(faults)
+        [result] = self._cached(
+            [stimulus],
+            faults,
+            {"kind": "run", "record_lines": record_lines},
+            lambda pending: [
+                self._simulate(
+                    pending[0], faults, record_lines, stop_when_all_detected
+                )
+            ],
         )
-
-    def _prune(self, faults: Sequence[Fault]) -> Optional[List[Fault]]:
-        """The kept-fault sublist when pruning removes anything, else None.
-
-        The cache key of the inner run then covers the *kept* set only;
-        that artifact is shared with unpruned runs over the same list,
-        and is sound because certified faults carry no detections.
-        """
-        if self.pruner is None:
-            return None
-        kept, pruned = self.pruner.split(faults)
-        if not pruned:
-            return None
-        if not self._prune_traced:
-            # One attribution event per simulator, not one per screen —
-            # a flow screens thousands of candidate sequences.
-            self._prune_traced = True
-            trace_event(
-                self._ctx(),
-                "prune",
-                circuit=self.circuit.name,
-                n_faults=len(faults),
-                pruned=len(pruned),
-            )
-        return kept
-
-    def _run_validated(
-        self,
-        stimulus: Sequence[Sequence[Value]],
-        faults: Sequence[Fault],
-        record_lines: bool,
-        stop_when_all_detected: bool,
-    ) -> FaultSimResult:
-        """The cached whole-sequence run (faults already validated)."""
-        ctx = self._ctx()
-        key = None
-        if ctx is not None and ctx.cache is not None:
-            key = self._artifact_key(
-                stimulus, faults, {"kind": "run", "record_lines": record_lines}
-            )
-            payload = ctx.cache.get(key)
-            if payload is not None:
-                result = _result_from_payload(payload, faults, record_lines)
-                if result is not None:
-                    ctx.stats.full_sim_hits += 1
-                    trace_event(ctx, "cache_hit", op="run", key=key)
-                    return result
-            ctx.stats.cache_misses += 1
-            trace_event(ctx, "cache_miss", op="run", key=key)
-        result = self._simulate(
-            stimulus, faults, record_lines, stop_when_all_detected
-        )
-        if ctx is not None:
-            ctx.stats.full_simulations += 1
-            if key is not None:
-                ctx.cache.put(key, _result_payload(result, record_lines))
         return result
 
     def _simulate(
@@ -542,22 +503,14 @@ class FaultSimulator:
         stop_when_all_detected: bool,
     ) -> FaultSimResult:
         """The actual simulation, in this process."""
-        if self._use_vector:
-            detection, vlines = self._vector_engine().run(
-                stimulus,
-                faults,
-                record_lines,
-                stop_when_all_detected and not record_lines,
+        early_stop = stop_when_all_detected and not record_lines
+        if self.backend == "vector":
+            detection, lines = self._vector_engine().run(
+                stimulus, faults, record_lines, early_stop
             )
-            return FaultSimResult(
-                detection_time=detection,
-                undetected=tuple(f for f in faults if f not in detection),
-                n_faults=len(faults),
-                lines=vlines,
-            )
+            return _result(faults, detection, lines)
         detection: Dict[Fault, int] = {}
         lines: Dict[Fault, Set[str]] = {f: set() for f in faults} if record_lines else {}
-        early_stop = stop_when_all_detected and not record_lines
         for start in range(0, len(faults), GROUP_FAULTS):
             group = faults[start : start + GROUP_FAULTS]
             sim = _GroupSim(self.comp, self._flop_pos, group)
@@ -572,13 +525,7 @@ class FaultSimulator:
                         lines[fault].update(nets)
                 if early_stop and not sim.active:
                     break
-        undetected = tuple(f for f in faults if f not in detection)
-        return FaultSimResult(
-            detection_time=detection,
-            undetected=undetected,
-            n_faults=len(faults),
-            lines=lines,
-        )
+        return _result(faults, detection, lines)
 
     # -- output responses ---------------------------------------------------
 
@@ -595,14 +542,12 @@ class FaultSimulator:
         good one — binary complement, or binary versus X either way —
         to the faulty value; it is keyed in the order of ``faults``.
         Each fault is simulated over the whole stimulus, with no fault
-        dropping, cache, worker pool or pruning: response compaction
-        (MISR grading) and diagnosis dictionaries read every position,
-        and a certified-untestable fault's X responses still matter.
+        dropping and no cache: response compaction (MISR grading) and
+        diagnosis dictionaries read every position, X responses
+        included.
         """
-        faults = list(faults)
-        for fault in faults:
-            validate_fault(self.circuit, fault)
-        if self._use_vector:
+        faults = self._validated(faults)
+        if self.backend == "vector":
             passes = [(faults, self._vector_engine().po_trace(stimulus, faults))]
         else:
             groups = [
@@ -636,30 +581,13 @@ class FaultSimulator:
         a small fault sample and fully simulated only if the screen
         fires.  Stops at the first detection.
         """
-        faults = list(faults)
-        for fault in faults:
-            validate_fault(self.circuit, fault)
-        kept = self._prune(faults)
-        if kept is not None:
-            if not kept:
-                return False
-            faults = kept
-        ctx = self._ctx()
-        key = None
-        if ctx is not None and ctx.cache is not None:
-            key = self._artifact_key(stimulus, faults, {"kind": "screen"})
-            payload = ctx.cache.get(key)
-            if payload is not None and isinstance(payload.get("detects"), bool):
-                ctx.stats.screen_hits += 1
-                trace_event(ctx, "cache_hit", op="screen", key=key)
-                return payload["detects"]
-            ctx.stats.cache_misses += 1
-            trace_event(ctx, "cache_miss", op="screen", key=key)
-        verdict = self._screen(stimulus, faults)
-        if ctx is not None:
-            ctx.stats.screen_simulations += 1
-            if key is not None:
-                ctx.cache.put(key, {"detects": verdict})
+        faults = self._validated(faults)
+        [verdict] = self._cached(
+            [stimulus],
+            faults,
+            {"kind": "screen"},
+            lambda pending: [self._screen(pending[0], faults)],
+        )
         return verdict
 
     def _screen(
@@ -667,7 +595,7 @@ class FaultSimulator:
         stimulus: Sequence[Sequence[Value]],
         faults: Sequence[Fault],
     ) -> bool:
-        if self._use_vector:
+        if self.backend == "vector":
             return self._vector_engine().screen(stimulus, faults)
         for start in range(0, len(faults), GROUP_FAULTS):
             group = faults[start : start + GROUP_FAULTS]
@@ -690,51 +618,15 @@ class FaultSimulator:
         cache).
         """
         stimuli = list(stimuli)
-        if len(stimuli) <= 1 or not self._use_vector:
+        if len(stimuli) <= 1 or self.backend != "vector":
             return [self.detects_any(s, faults) for s in stimuli]
-        ctx = self._ctx()
-        faults = list(faults)
-        for fault in faults:
-            validate_fault(self.circuit, fault)
-        kept = self._prune(faults)
-        if kept is not None:
-            if not kept:
-                return [False] * len(stimuli)
-            faults = kept
-        if ctx is None:
-            # Vector backend without a runtime: no cache or stats to
-            # maintain, just one batched kernel screen.
-            return self._vector_engine().screen_batch(stimuli, faults)
-        verdicts: List[Optional[bool]] = [None] * len(stimuli)
-        keys: Optional[List[str]] = None
-        if ctx.cache is not None:
-            keys = [
-                self._artifact_key(s, faults, {"kind": "screen"})
-                for s in stimuli
-            ]
-            pending: List[int] = []
-            for i, key in enumerate(keys):
-                payload = ctx.cache.get(key)
-                if payload is not None and isinstance(payload.get("detects"), bool):
-                    verdicts[i] = payload["detects"]
-                    ctx.stats.screen_hits += 1
-                    trace_event(ctx, "cache_hit", op="screen", key=key)
-                else:
-                    ctx.stats.cache_misses += 1
-                    trace_event(ctx, "cache_miss", op="screen", key=key)
-                    pending.append(i)
-        else:
-            pending = list(range(len(stimuli)))
-        if pending:
-            outcomes = self._vector_engine().screen_batch(
-                [stimuli[i] for i in pending], faults
-            )
-            for i, verdict in zip(pending, outcomes):
-                verdicts[i] = verdict
-                ctx.stats.screen_simulations += 1
-                if keys is not None:
-                    ctx.cache.put(keys[i], {"detects": verdict})
-        return verdicts  # type: ignore[return-value] — every slot is filled
+        faults = self._validated(faults)
+        return self._cached(
+            stimuli,
+            faults,
+            {"kind": "screen"},
+            lambda pending: self._vector_engine().screen_batch(pending, faults),
+        )
 
     def run_batch(
         self,
@@ -751,73 +643,23 @@ class FaultSimulator:
         other configurations fall back to a plain loop.
         """
         stimuli = list(stimuli)
-        if not self._use_vector or record_lines or len(stimuli) <= 1:
+        if self.backend != "vector" or record_lines or len(stimuli) <= 1:
             return [
                 self.run(s, faults, record_lines, stop_when_all_detected)
                 for s in stimuli
             ]
-        faults = list(faults)
-        for fault in faults:
-            validate_fault(self.circuit, fault)
-        kept = self._prune(faults)
-        sim_faults = kept if kept is not None else faults
-        ctx = self._ctx()
-        results: List[Optional[FaultSimResult]] = [None] * len(stimuli)
-        keys: Optional[List[str]] = None
-        if ctx is not None and ctx.cache is not None:
-            keys = [
-                self._artifact_key(
-                    s, sim_faults, {"kind": "run", "record_lines": False}
+        faults = self._validated(faults)
+        return self._cached(
+            stimuli,
+            faults,
+            {"kind": "run", "record_lines": False},
+            lambda pending: [
+                _result(faults, detection)
+                for detection in self._vector_engine().run_batch(
+                    pending, faults, early_stop=stop_when_all_detected
                 )
-                for s in stimuli
-            ]
-            pending: List[int] = []
-            for i, key in enumerate(keys):
-                payload = ctx.cache.get(key)
-                if payload is not None:
-                    inner = _result_from_payload(payload, sim_faults, False)
-                    if inner is not None:
-                        ctx.stats.full_sim_hits += 1
-                        trace_event(ctx, "cache_hit", op="run", key=key)
-                        results[i] = inner
-                        continue
-                ctx.stats.cache_misses += 1
-                trace_event(ctx, "cache_miss", op="run", key=key)
-                pending.append(i)
-        else:
-            pending = list(range(len(stimuli)))
-        if pending:
-            detections = self._vector_engine().run_batch(
-                [stimuli[i] for i in pending],
-                sim_faults,
-                early_stop=stop_when_all_detected,
-            )
-            for i, detection in zip(pending, detections):
-                inner = FaultSimResult(
-                    detection_time=detection,
-                    undetected=tuple(
-                        f for f in sim_faults if f not in detection
-                    ),
-                    n_faults=len(sim_faults),
-                )
-                results[i] = inner
-                if ctx is not None:
-                    ctx.stats.full_simulations += 1
-                    if keys is not None:
-                        ctx.cache.put(keys[i], _result_payload(inner, False))
-        if kept is None:
-            return results  # type: ignore[return-value] — every slot filled
-        final: List[FaultSimResult] = []
-        for inner in results:
-            detection = dict(inner.detection_time)  # type: ignore[union-attr]
-            final.append(
-                FaultSimResult(
-                    detection_time=detection,
-                    undetected=tuple(f for f in faults if f not in detection),
-                    n_faults=len(faults),
-                )
-            )
-        return final
+            ],
+        )
 
 
 class IncrementalFaultSimulator:
@@ -1089,7 +931,21 @@ def _decode_po_words(
     return tuple(row)
 
 
-def _result_payload(result: FaultSimResult, record_lines: bool) -> dict:
+def _result(
+    faults: Sequence[Fault],
+    detection: Dict[Fault, int],
+    lines: Optional[Dict[Fault, Set[str]]] = None,
+) -> FaultSimResult:
+    """The :class:`FaultSimResult` of ``detection`` over ``faults``."""
+    return FaultSimResult(
+        detection_time=detection,
+        undetected=tuple(f for f in faults if f not in detection),
+        n_faults=len(faults),
+        lines=lines or {},
+    )
+
+
+def _result_payload(result: FaultSimResult, config: Dict[str, object]) -> dict:
     """JSON-serializable cache payload for a :class:`FaultSimResult`."""
     payload: dict = {
         "n_faults": result.n_faults,
@@ -1097,7 +953,7 @@ def _result_payload(result: FaultSimResult, record_lines: bool) -> dict:
             ([fault_name(f), u] for f, u in result.detection_time.items()),
         ),
     }
-    if record_lines:
+    if config["record_lines"]:
         payload["lines"] = {
             fault_name(f): sorted(nets) for f, nets in result.lines.items()
         }
@@ -1105,7 +961,7 @@ def _result_payload(result: FaultSimResult, record_lines: bool) -> dict:
 
 
 def _result_from_payload(
-    payload: dict, faults: Sequence[Fault], record_lines: bool
+    payload: dict, faults: Sequence[Fault], config: Dict[str, object]
 ) -> Optional[FaultSimResult]:
     """Rebuild a result from a cache payload against the caller's fault
     objects; None when the payload does not fit (treated as a miss)."""
@@ -1115,19 +971,45 @@ def _result_from_payload(
             return None
         detection = {by_name[name]: int(u) for name, u in payload["detection"]}
         lines: Dict[Fault, Set[str]] = {}
-        if record_lines:
+        if config["record_lines"]:
             lines = {f: set() for f in faults}
             for name, nets in payload["lines"].items():
                 lines[by_name[name]] = set(nets)
     except (KeyError, TypeError, ValueError):
         return None
-    undetected = tuple(f for f in faults if f not in detection)
-    return FaultSimResult(
-        detection_time=detection,
-        undetected=undetected,
-        n_faults=len(faults),
-        lines=lines,
-    )
+    return _result(faults, detection, lines)
+
+
+def _verdict_payload(verdict: bool, config: Dict[str, object]) -> dict:
+    """Cache payload for a screening verdict."""
+    return {"detects": verdict}
+
+
+def _verdict_from_payload(
+    payload: dict, faults: Sequence[Fault], config: Dict[str, object]
+) -> Optional[bool]:
+    """The cached screening verdict; None when the payload has none."""
+    verdict = payload.get("detects") if isinstance(payload, dict) else None
+    return verdict if isinstance(verdict, bool) else None
+
+
+#: Per artifact ``kind``: the payload decoder and encoder, then the
+#: :class:`~repro.runtime.metrics.RuntimeStats` counters of a cache hit
+#: and of a simulation run.
+_CACHE_OPS = {
+    "run": (
+        _result_from_payload, _result_payload,
+        "full_sim_hits", "full_simulations",
+    ),
+    "screen": (
+        _verdict_from_payload, _verdict_payload,
+        "screen_hits", "screen_simulations",
+    ),
+}
+
+
+def _bump(stats, counter: str) -> None:
+    setattr(stats, counter, getattr(stats, counter) + 1)
 
 
 def detection_times(

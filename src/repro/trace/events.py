@@ -42,10 +42,11 @@ DETERMINISTIC_KINDS = frozenset(
 """Event kinds that are identical for any execution strategy.  The
 ``generation`` / ``front`` kinds mark :mod:`repro.optimize` progress:
 one event per search generation and one for the final Pareto front —
-both pure functions of (circuit, config, seed).  The ``analysis`` /
-``prune`` kinds summarise :mod:`repro.analysis.static` results and the
-certified fault pre-prune — pure functions of (circuit, fault set),
-whether computed fresh or replayed from the artifact cache."""
+both pure functions of (circuit, config, seed).  The ``analysis`` kind
+summarises :mod:`repro.analysis.static` results — a pure function of
+(circuit, fault set), whether computed fresh or replayed from the
+artifact cache.  Nothing emits ``prune`` now; the kind stays so that
+traces written earlier still load."""
 
 RUNTIME_KINDS = frozenset(
     {

@@ -1,15 +1,15 @@
 """Certificates vs. the oracle: no certified fault is ever detected.
 
-This is the acceptance suite for provable-redundancy pruning:
+This is the acceptance suite for the proved-untestable report:
 
 * every certificate the analysis emits passes the independent
   :func:`check_certificate` re-derivation;
 * the bit-parallel fault simulator — the oracle — never detects a
-  certified fault, under the flow's own sequences and under random and
-  weighted stimuli;
-* pruning is invisible: `FaultSimResult` and full-flow outputs are
-  byte-identical with pruning on and off, apart from the explicit
-  proved-untestable report.
+  certified fault, under the flow's own sequences, under random and
+  weighted stimuli, and (a hypothesis property) on random synthesized
+  circuits under X-heavy ternary stimuli on both backends;
+* the report is only a report: full-flow outputs are byte-identical
+  with ``static_prune`` on and off, apart from the report itself.
 """
 
 from __future__ import annotations
@@ -17,11 +17,13 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.static import analyze, check_certificate
+from repro.circuit.synth import SynthSpec, synthesize
 from repro.flows import FlowConfig, run_full_flow
 from repro.core import ProcedureConfig
-from repro.sim import FaultSimulator, VX, all_faults, collapse_faults
+from repro.sim import FaultSimulator, V0, V1, VX, all_faults, collapse_faults
 from repro.sim.faults import FaultPruner, PruneReport, fault_name
 from repro.util.rng import DeterministicRng
 
@@ -121,69 +123,50 @@ class TestOracleNeverDetects:
         result = FaultSimulator(circuit).run(flow.sequence, certified)
         assert result.detection_time == {}
 
-
-class TestPrunerEquivalence:
-    def test_fault_sim_result_identical(self, analyzed):
-        circuit, faults, analysis = analyzed
-        stimulus = _stimuli(circuit)["random"]
-        plain = FaultSimulator(circuit).run(stimulus, faults)
-        pruner = FaultPruner(circuit, analysis=analysis)
-        pruned = FaultSimulator(circuit, pruner=pruner).run(stimulus, faults)
-        assert pruned.detection_time == plain.detection_time
-        assert pruned.undetected == plain.undetected
-        assert pruned.n_faults == plain.n_faults
-        assert pruned.coverage == plain.coverage
-
-    def test_detects_any_identical(self, analyzed):
-        circuit, faults, analysis = analyzed
-        stimulus = _stimuli(circuit)["random"][:16]
-        pruner = FaultPruner(circuit, analysis=analysis)
-        a = FaultSimulator(circuit).detects_any(stimulus, faults)
-        b = FaultSimulator(circuit, pruner=pruner).detects_any(
-            stimulus, faults
-        )
-        assert a == b
-
-    def test_all_pruned_screen_is_false(self, analyzed):
-        circuit, faults, analysis = analyzed
+    @given(
+        seed=st.integers(min_value=0, max_value=100_000),
+        data=st.data(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_random_circuits_x_heavy_stimuli(self, seed, data):
+        circuit = synthesize(SynthSpec("prop", 4, 2, 3, 24, seed=seed))
+        faults = all_faults(circuit)
+        analysis = analyze(circuit, faults=faults)
         certified = [
             f for f in faults if fault_name(f) in analysis.certificates
         ]
-        if not certified:
-            pytest.skip("no certified faults on this circuit")
-        pruner = FaultPruner(circuit, analysis=analysis)
-        sim = FaultSimulator(circuit, pruner=pruner)
-        stimulus = _stimuli(circuit)["random"][:8]
-        assert sim.detects_any(stimulus, certified) is False
-
-    def test_record_lines_disables_pruning(self, analyzed):
-        circuit, faults, analysis = analyzed
-        pruner = FaultPruner(circuit, analysis=analysis)
-        stimulus = _stimuli(circuit)["random"][:8]
-        plain = FaultSimulator(circuit).run(
-            stimulus, faults, record_lines=True
+        # Two of every four values are X: the ternary corner cases the
+        # value-set proofs must cover, not just binary walks.
+        value = st.sampled_from((V0, V1, VX, VX))
+        row = st.lists(
+            value, min_size=len(circuit.inputs), max_size=len(circuit.inputs)
         )
-        pruned = FaultSimulator(circuit, pruner=pruner).run(
-            stimulus, faults, record_lines=True
+        stimuli = data.draw(
+            st.lists(st.lists(row, min_size=1, max_size=24), min_size=2,
+                     max_size=3)
         )
-        assert pruned.lines == plain.lines
-        assert pruned.detection_time == plain.detection_time
+        for backend in ("python", "vector"):
+            sim = FaultSimulator(circuit, backend=backend)
+            for stimulus in stimuli:
+                assert sim.run(stimulus, certified).detection_time == {}
+                assert sim.detects_any(stimulus, certified) is False
+            assert not any(sim.detects_any_batch(stimuli, certified))
 
+
+class TestPruneReport:
     def test_prune_report_shape(self, analyzed):
         circuit, faults, analysis = analyzed
-        pruner = FaultPruner(circuit, analysis=analysis)
-        report = pruner.report(faults)
+        report = FaultPruner(circuit, analysis=analysis).report(faults)
         assert isinstance(report, PruneReport)
         assert report.n_faults == len(faults)
         assert report.n_pruned == len(analysis.certificates)
         assert report.n_kept + report.n_pruned == report.n_faults
+        assert [name for name, _ in report.pruned] == sorted(
+            analysis.certificates
+        )
         payload = report.to_payload()
         assert payload["n_faults"] == len(faults)
         assert len(payload["faults"]) == report.n_pruned
-        kept, pruned = pruner.split(faults)
-        assert len(kept) == report.n_kept
-        assert list(kept) + list(pruned) != []  # order-preserving split
-        assert [f for f in faults if f in set(kept)] == list(kept)
 
 
 class TestFlowByteIdentity:

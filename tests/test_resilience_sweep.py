@@ -11,6 +11,8 @@ followed by ``--resume``.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.errors import SweepInterrupted
@@ -122,6 +124,23 @@ def test_sweep_under_hang_chaos_with_timeout_is_bit_identical(serial_sweep):
     assert stats.task_timeouts >= 1
     assert stats.pool_rebuilds >= 1
     assert stats.serial_fallback_tasks == len(SWEEP)
+
+
+def test_retired_pools_leave_no_worker_behind():
+    # hang=1.0: every pool dispatch sleeps 8 s, far past the timeout,
+    # so each pool is retired holding hung workers.  They must be gone
+    # when the context closes, not when their sleep ends.
+    before = set(multiprocessing.active_children())
+    with RuntimeContext(
+        jobs=2,
+        task_timeout=1.0,
+        retries=1,
+        enable_cache=False,
+        chaos="hang=1.0,seed=9,hang_s=8.0",
+    ) as rt:
+        table6_rows(SWEEP, runtime=rt)
+    assert rt.stats.pool_rebuilds >= 1
+    assert set(multiprocessing.active_children()) - before == set()
 
 
 def test_single_flow_dispatches_nothing():

@@ -476,6 +476,29 @@ def test_warm_cache_skips_full_simulations(tmp_path, name):
     )
 
 
+def test_g208_flow_cache_counters_pinned(tmp_path):
+    """Every fault-simulator entry point shares one cache protocol; its
+    counters for a cold and a warm g208 flow are pinned exactly."""
+    counters = (
+        "full_simulations", "screen_simulations", "full_sim_hits",
+        "screen_hits", "cache_misses",
+    )
+    seen = []
+    for _ in ("cold", "warm"):
+        with RuntimeContext(cache_dir=tmp_path) as rt:
+            run_full_flow("g208", flow_config_for("g208"), runtime=rt)
+        seen.append({name: getattr(rt.stats, name) for name in counters})
+    cold, warm = seen
+    assert cold == dict(
+        full_simulations=56, screen_simulations=51, full_sim_hits=0,
+        screen_hits=0, cache_misses=109,
+    )
+    assert warm == dict(
+        full_simulations=0, screen_simulations=0, full_sim_hits=56,
+        screen_hits=51, cache_misses=0,
+    )
+
+
 def test_cold_vs_no_cache_identical(tmp_path):
     cfg = flow_config_for("s27", l_g=128)
     plain = run_full_flow("s27", cfg)

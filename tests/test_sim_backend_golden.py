@@ -3,8 +3,9 @@ invisible in every deliverable.
 
 The same flow run with ``sim_backend="vector"`` — serially, with
 ``--jobs 4``, against a warm cache, under chaos injection, and with the
-static pre-prune armed — must reproduce the python oracle's Table-6
-row, final sequence, Ω selection and byte-identical normalized trace.
+certificate report (``static_prune``) — must reproduce the python
+oracle's Table-6 row, final sequence, Ω selection and byte-identical
+normalized trace.
 Execution strategy and simulation engine may only show up in the parts
 normalization strips.
 """

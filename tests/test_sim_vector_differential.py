@@ -40,7 +40,7 @@ from repro.sim import (
     collapse_faults,
     compile_circuit,
 )
-from repro.sim.faults import FaultPruner, all_faults
+from repro.sim.faults import all_faults
 from repro.sim.faultsim import GROUP_FAULTS
 from repro.sim.vector import WORD_BITS, build_program, kernels
 from repro.sim.vector.engine import VectorEngine, VectorIncremental
@@ -296,23 +296,6 @@ class TestFixtureCircuits:
             survivors = inc.remaining_faults()
             assert sorted(survivors + detected_once) == sorted(faults)
 
-    def test_pruned_config_equivalence(self):
-        circuit = parse_bench(FIXTURES / "defects.bench")
-        faults = all_faults(circuit)
-        pruner = FaultPruner(circuit)
-        rng = random.Random(5)
-        stimulus = _random_stimulus(rng, len(circuit.inputs), 15)
-        oracle = FaultSimulator(circuit, pruner=pruner, backend="python").run(
-            stimulus, faults
-        )
-        vector = FaultSimulator(circuit, pruner=pruner, backend="vector").run(
-            stimulus, faults
-        )
-        _assert_same_result(oracle, vector)
-        # And pruned == unpruned (the pruner's standing soundness claim).
-        plain = FaultSimulator(circuit, backend="vector").run(stimulus, faults)
-        _assert_same_result(vector, plain)
-
     def test_output_responses_g208(self):
         """Every fault of g208 (several oracle groups, one kernel pass)
         over a ternary stimulus: same good rows, same sparse diffs."""
@@ -385,16 +368,10 @@ class TestWordBoundaries:
         )
         lone = first.detected[0]
         walk = walk[: first.detection_time[lone] + 1]
-        # Every fault of this list is certified untestable.
-        defects = parse_bench(FIXTURES / "defects.bench")
-        pruner = FaultPruner(defects)
-        _, pruned = pruner.split(all_faults(defects))
-        assert pruned
 
         def calls(backend, bad):
             stimulus = [[0, 1, 0, 1], bad]
             sim = FaultSimulator(circuit, backend=backend)
-            pruned_sim = FaultSimulator(defects, pruner=pruner, backend=backend)
 
             def incremental(faults, prefix, op):
                 inc = IncrementalFaultSimulator(circuit, faults, backend=backend)
@@ -413,9 +390,6 @@ class TestWordBoundaries:
                     [stimulus, [bad]], [], stop_when_all_detected=False)),
                 _outcome(lambda: sim.detects_any(stimulus, [])),
                 _outcome(lambda: sim.detects_any_batch([stimulus, [bad]], [])),
-                _outcome(lambda: pruned_sim.run([bad[:3]] * 2, pruned)),
-                _outcome(lambda: pruned_sim.run_batch(
-                    [[bad[:3]], [bad[:2]]], pruned)),
                 _outcome(lambda: incremental([], [], "step")),
                 _outcome(lambda: incremental([], [], "peek")),
                 _outcome(lambda: incremental([lone], walk, "step")),

@@ -79,8 +79,9 @@ class JobSpec:
     static_prune:
         Also report the faults the static implication engine proves
         untestable: a flow's result gains a ``proved_untestable``
-        section, and nothing else in it changes.  The job key changes
-        only when the flag is set (old keys stay valid).
+        section, and nothing else in it changes.  A flow's key changes
+        only when the flag is set (old keys stay valid); an optimize
+        job's never does, since a search does not read the flag.
     sim_backend:
         Fault-simulation backend (``"auto"``/``"python"``/``"vector"``).
         Backends are bit-identical, so — like the execution budget — it
@@ -183,9 +184,10 @@ class JobSpec:
             fields["task"] = self.task
             fields["population"] = self.population
             fields["generations"] = self.generations
-        if self.static_prune:
-            # Pruned jobs report extra sections, so they key separately;
-            # default jobs keep their historical keys.
+        if self.static_prune and self.task == "flow":
+            # Pruned flows report an extra section, so they key
+            # separately; a search never sees the flag, so it keys with
+            # the unflagged one.  Default jobs keep their historical keys.
             fields["static_prune"] = True
         return fields
 

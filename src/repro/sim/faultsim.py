@@ -21,8 +21,8 @@ Two front ends share the stepping engine:
   consume.
 * :class:`IncrementalFaultSimulator` — pattern-at-a-time stepping with
   snapshot/restore, used by the simulation-based test generator to
-  score candidate patterns and by static compaction to resume checks,
-  neither re-simulating the prefix.
+  score candidate patterns and by the oracle's static compaction to
+  resume checks, neither re-simulating the prefix.
 
 :class:`FaultSimulator` optionally plugs into the runtime layer
 (:mod:`repro.runtime`): given a
@@ -671,17 +671,20 @@ class IncrementalFaultSimulator:
     * the test generator scores a cycle's candidate patterns and
       commits the best with :meth:`step_best` — on the vector backend
       one multi-block kernel step, on the oracle one :meth:`peek` per
-      candidate plus a :meth:`step`;
-    * static compaction keeps a :meth:`snapshot` before every cycle of
-      the accepted sequence and resumes each check from the one at the
-      removed block's start with :meth:`restore`.
+      candidate plus a :meth:`step` — and drops its detected faults
+      with :meth:`regroup` once they are a quarter of the machines it
+      carries (:attr:`n_carried`);
+    * the oracle's static compaction keeps a :meth:`snapshot` before
+      every cycle of the accepted sequence and resumes each check from
+      the one at the removed block's start with :meth:`restore`.  The
+      vector backend's compaction decides its checks at state
+      re-convergence instead
+      (:class:`~repro.sim.vector.engine.VectorCompaction`).
 
-    A step that detects repacks the survivors (:meth:`regroup`) once
-    they fit in half the words or groups, on both backends, so the
-    snapshots compaction keeps shrink as faults drop.  A snapshot
-    carries the lane layout it was taken in (the vector kernel and its
-    lane→fault tuple, or the oracle's group list), so a restore across
-    a repack is exact.
+    A step that detects repacks the survivors once they fit in half
+    the words or groups, on both backends.  A snapshot carries the lane
+    layout it was taken in (the vector kernel and its lane→fault tuple,
+    or the oracle's group list), so a restore across a repack is exact.
     """
 
     def __init__(
@@ -718,6 +721,14 @@ class IncrementalFaultSimulator:
     def n_remaining(self) -> int:
         """Faults not yet detected."""
         return self._n_faults - self._n_detected
+
+    @property
+    def n_carried(self) -> int:
+        """Faults whose machines are still stepped, detected or not
+        (:meth:`regroup` drops the detected ones)."""
+        if self._vec is not None:
+            return self._vec.n_carried
+        return sum(len(group.bit_fault) for group in self._groups)
 
     def remaining_faults(self) -> List[Fault]:
         """The undetected faults, in group order."""
@@ -816,10 +827,12 @@ class IncrementalFaultSimulator:
         As faults are detected their machine bits go idle but their
         groups keep simulating; regrouping rebuilds dense groups while
         *preserving every remaining machine's flip-flop state*, so it is
-        behaviourally invisible — only faster.
+        behaviourally invisible — only faster.  On the vector backend
+        the survivors' program compiles its own layout at once, since a
+        caller regroups a list that runs on.
         """
         if self._vec is not None:
-            self._vec.regroup()
+            self._vec.regroup(compile_now=True)
             return
         if not self._groups:
             return

@@ -4,7 +4,8 @@
 delegates to for ``backend="vector"``: whole-sequence runs, line
 recording, primary-output traces, screening, and multi-stimulus batched
 screening/runs.
-:class:`VectorIncremental` backs ``IncrementalFaultSimulator``.
+:class:`VectorIncremental` backs ``IncrementalFaultSimulator``, and
+:class:`VectorCompaction` decides static compaction's checks.
 
 Semantics are defined by the pure-Python oracle; everything here is
 "only faster":
@@ -42,6 +43,7 @@ from repro.errors import SimulationError
 from repro.sim.compile import CompiledCircuit
 from repro.sim.faults import Fault
 from repro.sim.values import V0, V1, VX, Value
+from repro.sim.vector import kernels
 from repro.sim.vector.kernels import WORD_BITS, IntKernel
 from repro.sim.vector.program import build_program
 
@@ -166,9 +168,12 @@ def _relane(
     lane_fault: Tuple[Fault, ...],
     comp: CompiledCircuit,
     flop_pos: Dict[str, int],
+    compile_now: bool = False,
 ) -> Tuple[IntKernel, Tuple[Fault, ...]]:
     """A single-block kernel over ``kern``'s active lanes only, in lane
-    order, carrying every surviving machine's flip-flop state."""
+    order, carrying every surviving machine's flip-flop state.  With
+    ``compile_now`` its program compiles its own layout before its first
+    step instead of after :data:`~repro.sim.vector.kernels.TIER_UP_STEPS`."""
     act = kern.active
     lanes: List[int] = []
     while act:
@@ -176,7 +181,10 @@ def _relane(
         act ^= low
         lanes.append(low.bit_length() - 1)
     new_faults = tuple(lane_fault[lane - 1] for lane in lanes)
-    new_kern = IntKernel(build_program(comp, flop_pos, new_faults))
+    program = build_program(comp, flop_pos, new_faults)
+    if compile_now:
+        kernels._tier_up(program)
+    new_kern = IntKernel(program)
     new_kern.load_state([kern.extract_lane(lane) for lane in [0] + lanes])
     return new_kern, new_faults
 
@@ -188,6 +196,31 @@ def _agree(now: Sequence[int], then: Sequence[int], keep: int) -> bool:
         if (a ^ b) & keep:
             return False
     return True
+
+
+def _differ(kern: IntKernel, state: Tuple[List[int], List[int]]) -> int:
+    """The lanes whose flip-flop words differ between ``kern`` and
+    ``state``."""
+    diff = 0
+    for a, b in zip(kern.S_O, state[0]):
+        diff |= a ^ b
+    for a, b in zip(kern.S_Z, state[1]):
+        diff |= a ^ b
+    return diff
+
+
+def _tile(word: int, shift: int, n: int) -> int:
+    """``word`` copied into each of ``n`` blocks ``shift`` bits apart,
+    by shifts and ORs (doubling the copies while they fit)."""
+    out = word
+    have = 1
+    while 2 * have <= n:
+        out |= out << (have * shift)
+        have *= 2
+    while have < n:
+        out |= word << (have * shift)
+        have += 1
+    return out
 
 
 class VectorEngine:
@@ -421,14 +454,19 @@ class VectorEngine:
 class VectorIncremental:
     """Vector backend for :class:`~repro.sim.faultsim.IncrementalFaultSimulator`.
 
-    One single-block kernel holds the committed state.  A step re-lanes
-    it (:func:`_relane`) once its survivors fit in half its words, the
-    :meth:`VectorEngine._maybe_compact` rule, so every snapshot is taken
-    in a compact layout.  :meth:`step_best` scores a cycle's candidates
-    as the blocks of one multi-block kernel step, kept across cycles
-    until the lanes change.  Survivor programs are not memoized: no
-    survivor list of a walk or a compaction was seen to repeat (g208,
-    g641, g1423), so a memo only held dead programs.
+    One single-block kernel holds the committed state.  A detecting step
+    re-lanes it (:func:`_relane`) once its survivors fit in half its
+    words, the :meth:`VectorEngine._maybe_compact` rule; that program
+    starts on the covering code, because a burst of detections soon
+    replaces it.  ``regroup(compile_now=True)``, which
+    :meth:`~repro.sim.faultsim.IncrementalFaultSimulator.regroup` asks
+    for, compiles the survivors' own layout at once: the walk regroups
+    only when a quarter of the lanes are idle, and the survivors then
+    run for the rest of the walk or at least 128 steps.  :meth:`step_best`
+    scores a cycle's candidates as the blocks of one multi-block kernel
+    step, kept across cycles until the lanes change.  Survivor programs
+    are not memoized: no survivor list of a walk was seen to repeat
+    (g208, g641, g1423), so a memo only held dead programs.
     """
 
     def __init__(
@@ -442,7 +480,6 @@ class VectorIncremental:
         self._lane_fault: Tuple[Fault, ...] = tuple(faults)
         self._kern = IntKernel(build_program(comp, flop_pos, self._lane_fault))
         self._scorer: Optional[IntKernel] = None
-        self._seed = 1
         self._n_pi = len(comp.pi_indices)
 
     def remaining_faults(self) -> List[Fault]:
@@ -481,12 +518,12 @@ class VectorIncremental:
         detections; return its index and those detections.
 
         Block ``b`` of the scoring kernel starts from the committed
-        state (each flip-flop word and the active mask times
-        ``sum(2 ** (b * block_bits))``) and steps ``patterns[b]``;
-        blocks never interact, so each scores exactly what a peek
-        would.  The winner's block is shifted back into the committed
-        kernel.  Every pattern is validated first, so a bad one raises
-        before any state changes.
+        state (each flip-flop word and the active mask copied into every
+        block by :func:`_tile`) and steps ``patterns[b]``; blocks never
+        interact, so each scores exactly what a peek would.  The
+        winner's block is shifted back into the committed kernel.  Every
+        pattern is validated first, so a bad one raises before any state
+        changes.
         """
         if not self._lane_fault:
             return 0, []
@@ -495,20 +532,18 @@ class VectorIncremental:
         if len(pats) == 1:
             return 0, self._commit(kern.step(pats))
         scorer = self._scorer
+        n = len(pats)
         if (
             scorer is None
             or scorer.program is not kern.program
-            or scorer.n_blocks != len(pats)
+            or scorer.n_blocks != n
         ):
             self._scorer = None  # free the stale one first
-            scorer = self._scorer = IntKernel(kern.program, len(pats))
-            # (2**(n*bb) - 1) / (2**bb - 1) == sum(2**(b*bb) for b < n)
-            self._seed = scorer.full // kern.full
+            scorer = self._scorer = IntKernel(kern.program, n)
         bb = scorer.block_bits
-        seed = self._seed
-        scorer.S_O = [w * seed for w in kern.S_O]
-        scorer.S_Z = [w * seed for w in kern.S_Z]
-        scorer.active = kern.active * seed
+        scorer.S_O = [_tile(w, bb, n) for w in kern.S_O]
+        scorer.S_Z = [_tile(w, bb, n) for w in kern.S_Z]
+        scorer.active = _tile(kern.active, bb, n)
         det = scorer.step(pats)
         block = (1 << bb) - 1
         best = 0
@@ -546,8 +581,229 @@ class VectorIncremental:
     def reset_state(self) -> None:
         self._kern.reset_state()
 
-    def regroup(self) -> None:
-        """Repack survivors densely, preserving every machine's state."""
+    def regroup(self, compile_now: bool = False) -> None:
+        """Repack survivors densely, preserving every machine's state;
+        ``compile_now`` compiles their own layout before the next step."""
+        # The scorer is stale once the lanes move.  Freeing it before the
+        # compile took 11 MB off g1423's peak RSS during generation.
+        self._scorer = None
         self._kern, self._lane_fault = _relane(
-            self._kern, self._lane_fault, self.comp, self.flop_pos
+            self._kern, self._lane_fault, self.comp, self.flop_pos,
+            compile_now,
         )
+
+    @property
+    def n_carried(self) -> int:
+        """Faults the kernel carries, detected or not."""
+        return len(self._lane_fault)
+
+
+BASE_BUDGET = 1 << 25
+"""Lane × flip-flop × cycle units of base state :class:`VectorCompaction`
+keeps (each unit one lane's bit in a flip-flop's pair of words).  The
+base run doubles its stride until the states it keeps fit: every
+benchmark circuit keeps every cycle, g1423 (1,616 lanes × 74 flip-flops
+× 1,186 cycles at L_G = 2000) every eighth."""
+
+
+class VectorCompaction:
+    """Vector omission checks, decided at state re-convergence.
+
+    One kernel over every target lane runs the whole compaction.  It
+    never drops or re-lanes a lane, and every step reports every lane's
+    detections.  :meth:`truncate` steps the accepted sequence (the
+    *base*) until its detections cover every target, keeping the
+    flip-flop words before each cycle and each cycle's detection mask;
+    ``after[c]`` is the OR of the masks at ``c`` and later.
+
+    A check that drops ``current[start:start + block]`` starts from the
+    base state at ``start``; its open set ``U`` holds the targets the
+    base has not detected before ``start``.  The candidate's cycle
+    ``c`` and the base's *aligned* cycle ``a = c + block`` apply the
+    same inputs from then on.  Before each step the candidate's words
+    are compared with the base's at ``a``: once the good machine
+    agrees, an agreeing lane of ``U`` repeats the base's future (a
+    machine's next state, X included, depends only on its state and its
+    input), so it is decided — reject when it is not in ``after[a]``,
+    else it leaves ``U``.  Detections leave ``U`` too; the check
+    accepts when ``U`` is empty.  An accepted check steps on until every
+    lane agrees (or its tail ends) and splices its cycles into the base,
+    whose rest it then shares, shifted by ``block``.
+
+    The base keeps the state of every ``stride``-th cycle, the stride
+    doubled until the kept states fit :data:`BASE_BUDGET`.  A stored-out
+    cycle is re-stepped from the nearest kept state, and a second kernel
+    (the cursor) steps the base's aligned cycles in lock-step with the
+    candidate.
+    """
+
+    def __init__(
+        self,
+        comp: CompiledCircuit,
+        flop_pos: Dict[str, int],
+        faults: Sequence[Fault],
+    ) -> None:
+        program = build_program(comp, flop_pos, tuple(faults))
+        self._kern = IntKernel(program)
+        self._cursor = IntKernel(program)
+        self._lanes = (1 << program.lanes) - 1
+        self._unit = program.lanes * len(program.ff_rows)
+        self._n_pi = len(comp.pi_indices)
+        self._stride = 1
+        self._states: List[Optional[Tuple[List[int], List[int]]]] = []
+        self._dets: List[int] = []
+        self._before: List[int] = []
+        self._after: List[int] = []
+        self.early = False
+        """Whether the last check's verdict came from re-convergence:
+        a rejecting agreement, or an agreement that emptied ``U``."""
+
+    def truncate(self, patterns: Sequence[Sequence[Value]]) -> int:
+        """Run the base over ``patterns``; return its length, the cycles
+        up to the first one by which every target is detected."""
+        kern = self._kern
+        targets = kern.fault_lanes
+        states = self._states
+        covered = 0
+        kept = 0
+        for pattern in patterns:
+            pat = _check_pattern(pattern, self._n_pi)
+            if len(states) % self._stride:
+                states.append(None)
+            else:
+                states.append((kern.S_O, kern.S_Z))
+                kept += 1
+                while kept > 1 and kept * self._unit > BASE_BUDGET:
+                    self._stride *= 2
+                    for c in range(0, len(states), self._stride // 2):
+                        if c % self._stride:
+                            states[c] = None
+                    kept = -(-len(states) // self._stride)
+            kern.active = targets
+            det = kern.step([pat])
+            self._dets.append(det)
+            covered |= det
+            if covered == targets:
+                break
+        if covered != targets:
+            raise ValueError(
+                f"sequence does not detect {_popcount(targets & ~covered)} "
+                "of the target faults"
+            )
+        self._index()
+        return len(self._dets)
+
+    def _index(self) -> None:
+        """Rebuild ``before[c]`` / ``after[c]``: the OR of the base's
+        detection masks before ``c`` / at ``c`` and later."""
+        dets = self._dets
+        n = len(dets)
+        before = [0] * (n + 1)
+        after = [0] * (n + 1)
+        acc = 0
+        for c, det in enumerate(dets):
+            before[c] = acc
+            acc |= det
+        before[n] = acc
+        acc = 0
+        for c in range(n - 1, -1, -1):
+            acc |= dets[c]
+            after[c] = acc
+        self._before = before
+        self._after = after
+
+    def _seek(
+        self,
+        kern: IntKernel,
+        pos: int,
+        c: int,
+        current: Sequence[Sequence[Value]],
+    ) -> int:
+        """Put ``kern``, now at base cycle ``pos`` (-1: anywhere), at base
+        cycle ``c``: from ``pos`` or from the nearest kept state, whichever
+        is later.  Returns ``c``."""
+        states = self._states
+        if pos > c:
+            pos = -1
+        k = c
+        while k > pos and states[k] is None:
+            k -= 1
+        if k > pos:
+            kern.S_O, kern.S_Z = states[k]  # type: ignore[misc]
+            pos = k
+        kern.active = 0
+        for u in range(pos, c):
+            kern.step([current[u]])
+        return c
+
+    def accepts(
+        self, current: Sequence[Sequence[Value]], start: int, block: int
+    ) -> bool:
+        """Does ``current`` without ``current[start:start + block]``
+        still detect every target?  ``current`` is the base's sequence;
+        when the answer is yes, the base becomes the candidate's."""
+        kern = self._kern
+        targets = kern.fault_lanes
+        lanes = self._lanes
+        after = self._after
+        states = self._states
+        stride = self._stride
+        end = len(current) - block
+        open_ = targets & ~self._before[start]
+        self._seek(kern, -1, start, current)
+        cursor = -1
+        trial_states: List[Optional[Tuple[List[int], List[int]]]] = []
+        trial_dets: List[int] = []
+        self.early = False
+        c = start
+        while c < end:
+            a = c + block
+            base = states[a]
+            if base is None:
+                cursor = self._seek(self._cursor, cursor, a, current)
+                base = (self._cursor.S_O, self._cursor.S_Z)
+            diff = _differ(kern, base)
+            if not diff & 1:
+                if open_:
+                    agree = open_ & ~diff
+                    if agree & ~after[a]:
+                        self.early = True
+                        return False
+                    open_ &= diff
+                    self.early = not open_
+                if not open_ and not diff & lanes:
+                    self._splice(
+                        start, a, trial_states, trial_dets,
+                        (kern.S_O, kern.S_Z),
+                    )
+                    return True
+            trial_states.append(
+                None if (c - start) % stride else (kern.S_O, kern.S_Z)
+            )
+            kern.active = targets
+            det = kern.step([current[a]])
+            trial_dets.append(det)
+            open_ &= ~det
+            c += 1
+        if open_:
+            return False
+        self._splice(start, len(current), trial_states, trial_dets, None)
+        return True
+
+    def _splice(
+        self,
+        start: int,
+        a: int,
+        trial_states: List[Optional[Tuple[List[int], List[int]]]],
+        trial_dets: List[int],
+        joint: Optional[Tuple[List[int], List[int]]],
+    ) -> None:
+        """The accepted candidate's base: the old base before ``start``,
+        the candidate's cycles, then the old base from ``a`` on (whose
+        state at ``a`` is ``joint``, the candidate's agreeing words)."""
+        rest = self._states[a:]
+        if rest and rest[0] is None:
+            rest[0] = joint
+        self._states = self._states[:start] + trial_states + rest
+        self._dets = self._dets[:start] + trial_dets + self._dets[a:]
+        self._index()

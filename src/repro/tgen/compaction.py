@@ -8,22 +8,52 @@ Block sizes shrink geometrically (delta-debugging style), so large
 useless stretches go quickly while single-vector omission still runs at
 the end.
 
-A check never re-simulates the unchanged prefix.  One run of the input
-sequence (which also truncates it after its last detection) keeps an
-:class:`~repro.sim.faultsim.IncrementalFaultSimulator` snapshot before
-every cycle.  Dropping ``current[start:start + block]`` leaves the
-prefix ``current[:start]`` as it was, so the candidate reaches exactly
-the snapshot at ``start`` — with only the faults still undetected there
-— and the check steps just the candidate's tail, until no target is
-left.  An accepted check's own snapshots replace the stale suffix.  The
-candidates, their order and the number of checks are those of the
-cycle-0 formulation; only their cost changes.
+One loop, :func:`_omit_blocks`, offers the candidates on both backends;
+each backend decides them its own way, never re-simulating the
+unchanged prefix.  The candidates, their order and the number of checks
+are those of the cycle-0 formulation; only their cost changes.
 
-The snapshots cost O(len(T) · words · n_ff) memory: one copy of every
-flip-flop's state words (on the oracle, of every 63-fault group's) per
-cycle of the accepted sequence.  A step that detects repacks the
-survivors once they fit in half the words or groups, so a snapshot
-past the first detections holds few of them.
+*The base.*  One run of the input sequence truncates it at the cycle by
+which every target is detected.  Dropping ``current[start:start +
+block]`` leaves the prefix ``current[:start]`` as it was, so a check
+starts from the accepted sequence's state at ``start``.  The candidate's
+cycle ``c`` and the accepted sequence's *aligned* cycle ``c + block``
+apply the same inputs from then on.
+
+*The vector check* (:class:`~repro.sim.vector.engine.VectorCompaction`)
+runs one kernel over every target lane, which never drops a lane.  The
+base run keeps the flip-flop words before each cycle and each cycle's
+detections; ``after[a]`` is the OR of the detections at ``a`` and
+later.  A check's open set ``U`` holds the targets not detected before
+``start``.  Before each step, the candidate's words are compared with
+the base's at the aligned cycle ``a``.  Once the good machine agrees,
+an agreeing lane of ``U`` repeats the base's future, since a machine's
+next state (ternary X included) depends only on its state and its
+input: the check rejects when such a lane is not in ``after[a]``, and
+otherwise drops it from ``U``.  Detections drop lanes too, and the
+check accepts when ``U`` is empty.  Most checks are decided within a
+few cycles of ``start`` (g208: 625 kernel steps for the 60 checks of
+its flow, where stepping each tail took 3,407).  An accepted check
+steps on until every lane agrees and splices its cycles into the base;
+from there the base is the old one shifted by ``block``.
+
+*The oracle's check* keeps an
+:class:`~repro.sim.faultsim.IncrementalFaultSimulator` snapshot before
+every cycle of the accepted sequence, resumes from the one at
+``start`` with only the faults still undetected there, and steps the
+candidate's tail until no target is left.  An accepted check's own
+snapshots replace the stale suffix.  It is the reference the vector
+check is proven against.
+
+*Memory.*  The vector base keeps O(len(T) · lanes · n_ff) bits: two
+full-width words per flip-flop per cycle.  It keeps only every
+``stride``-th cycle, the stride doubled until the kept states fit
+:data:`~repro.sim.vector.engine.BASE_BUDGET` (g1423 keeps every eighth,
+every benchmark circuit every cycle).  A check re-steps a stored-out
+cycle from the nearest kept one, and steps the base's aligned cycles in
+lock-step beside the candidate.  The oracle's snapshots hold only the
+survivors, which a detecting step repacks once they fit in half the
+groups.
 
 With a runtime whose artifact cache is on, the whole
 :class:`CompactionResult` is one cache entry, keyed by
@@ -47,10 +77,12 @@ from repro.runtime.keys import (
     simulation_key,
     stimulus_fingerprint,
 )
-from repro.sim.compile import CompiledCircuit
-from repro.sim.faults import Fault
+from repro.sim.backend import resolve_backend
+from repro.sim.compile import CompiledCircuit, compile_circuit
+from repro.sim.faults import Fault, validate_fault
 from repro.sim.faultsim import IncrementalFaultSimulator
 from repro.sim.values import Value
+from repro.sim.vector.engine import VectorCompaction
 from repro.tgen.sequence import TestSequence
 from repro.trace import traced
 
@@ -135,16 +167,16 @@ def compact_sequence(
         return CompactionResult(sequence, original_length, len(sequence), 0)
 
     def compute() -> CompactionResult:
-        sim = IncrementalFaultSimulator(
-            circuit, faults, compiled, backend=sim_backend
+        checks = _checks(circuit, faults, compiled, sim_backend)
+        patterns, n_checks = _omit_blocks(
+            checks, sequence.patterns, max_simulations
         )
-        patterns, checks = _omit_blocks(sim, sequence.patterns, max_simulations)
         current = TestSequence(patterns)
         return CompactionResult(
             sequence=current,
             original_length=original_length,
             compacted_length=len(current),
-            n_simulations=checks,
+            n_simulations=n_checks,
         )
 
     with traced(
@@ -167,61 +199,104 @@ def compact_sequence(
         )
 
 
-def _omit_blocks(
-    sim: IncrementalFaultSimulator,
-    patterns: Tuple[Tuple[Value, ...], ...],
-    max_simulations: int,
-) -> Tuple[Tuple[Tuple[Value, ...], ...], int]:
-    """The omission loop over checkpoints; returns (patterns, checks).
-
-    ``checkpoints[u]`` is the simulator state before cycle ``u`` of
-    ``current``, for every ``u`` below ``len(checkpoints)``; past the
-    last detection any state with no target left serves.
-    """
-    # Free truncation: nothing after the last detection time is useful.
-    checkpoints: List[tuple] = []
-    for pattern in patterns:
-        checkpoints.append(sim.snapshot())
-        sim.step(pattern)
-        if not sim.n_remaining:
-            break
-    checks = 1
-    if sim.n_remaining:
-        raise ValueError(
-            f"sequence does not detect {sim.n_remaining} of the "
-            "target faults"
+def _checks(
+    circuit: Circuit,
+    faults: List[Fault],
+    compiled: CompiledCircuit | None,
+    sim_backend,
+):
+    """The backend's checker: re-convergence on the vector backend, the
+    resumed checks of the oracle otherwise."""
+    if resolve_backend(sim_backend) != "vector":
+        return _ResumedChecks(
+            IncrementalFaultSimulator(circuit, faults, compiled, "python")
         )
-    current = patterns[: len(checkpoints)]
+    for fault in faults:
+        validate_fault(circuit, fault)
+    flop_pos = {name: i for i, name in enumerate(circuit.flops)}
+    return VectorCompaction(compiled or compile_circuit(circuit), flop_pos, faults)
 
-    def resumed_check(start: int, tail) -> Optional[List[tuple]]:
-        """The candidate's checkpoints from ``start`` on when it still
-        detects every target, else None."""
+
+class _ResumedChecks:
+    """The oracle's checks: each resumes from a snapshot of the
+    accepted sequence and steps the candidate's tail until no target is
+    left.
+
+    ``checkpoints[u]`` is the simulator state before cycle ``u`` of the
+    accepted sequence, for every ``u`` below ``len(checkpoints)``; past
+    the last detection any state with no target left serves.
+    """
+
+    def __init__(self, sim: IncrementalFaultSimulator) -> None:
+        self._sim = sim
+        self._checkpoints: List[tuple] = []
+
+    def truncate(self, patterns: Sequence[Tuple[Value, ...]]) -> int:
+        """Step ``patterns`` until every target is detected; return the
+        length stepped."""
+        sim = self._sim
+        for pattern in patterns:
+            self._checkpoints.append(sim.snapshot())
+            sim.step(pattern)
+            if not sim.n_remaining:
+                break
+        if sim.n_remaining:
+            raise ValueError(
+                f"sequence does not detect {sim.n_remaining} of the "
+                "target faults"
+            )
+        return len(self._checkpoints)
+
+    def accepts(
+        self, current: Sequence[Tuple[Value, ...]], start: int, block: int
+    ) -> bool:
+        """Does ``current`` without ``current[start:start + block]``
+        still detect every target?  An accepted candidate's snapshots
+        replace the stale suffix."""
+        sim = self._sim
+        checkpoints = self._checkpoints
+        if start >= len(checkpoints):
+            # An accepted check stops once every target is detected, so
+            # the last checkpoint holds for every later cycle.
+            checkpoints += [checkpoints[-1]] * (start + 1 - len(checkpoints))
         sim.restore(checkpoints[start])
         trial = [checkpoints[start]]
-        for pattern in tail:
+        for pattern in current[start + block :]:
             if not sim.n_remaining:
                 break
             sim.step(pattern)
             trial.append(sim.snapshot())
-        return None if sim.n_remaining else trial
+        if sim.n_remaining:
+            return False
+        checkpoints[start:] = trial
+        return True
 
+
+def _omit_blocks(
+    checks,
+    patterns: Tuple[Tuple[Value, ...], ...],
+    max_simulations: int,
+) -> Tuple[Tuple[Tuple[Value, ...], ...], int]:
+    """The omission loop; returns (patterns, checks spent).
+
+    ``checks`` is either backend's checker: ``truncate(patterns)``
+    runs the input once and returns the length up to its last needed
+    detection, and ``accepts(current, start, block)`` decides one
+    candidate and, when it holds, adopts it as the accepted sequence.
+    """
+    # Free truncation: nothing after the last detection time is useful.
+    current = patterns[: checks.truncate(patterns)]
+    n_checks = 1
     block = max(1, len(current) // 2)
-    while block >= 1 and checks < max_simulations:
+    while block >= 1 and n_checks < max_simulations:
         start = len(current) - block
-        if start >= len(checkpoints):
-            # An accepted check stops once every target is detected, so
-            # the last checkpoint holds for every later cycle: nothing
-            # is left to detect.  Extending is not a check.
-            checkpoints += [checkpoints[-1]] * (start + 1 - len(checkpoints))
         progressed = False
-        while start >= 0 and checks < max_simulations:
+        while start >= 0 and n_checks < max_simulations:
             tail = current[start + block :]
             if start or tail:
-                checks += 1
-                trial = resumed_check(start, tail)
-                if trial is not None:
+                n_checks += 1
+                if checks.accepts(current, start, block):
                     current = current[:start] + tail
-                    checkpoints[start:] = trial
                     progressed = True
                     start -= block
                     continue
@@ -229,7 +304,7 @@ def _omit_blocks(
         if block == 1 and not progressed:
             break
         block //= 2
-    return current, checks
+    return current, n_checks
 
 
 def _result_payload(result: CompactionResult) -> dict:

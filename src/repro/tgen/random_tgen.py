@@ -19,6 +19,15 @@ selection.  The generator is a greedy, fault-simulation-guided search:
    need long sensitizing runs before a detection burst).
 4. Stop when every target fault is detected, or at ``max_len``.
 
+Detected faults keep their lanes in the simulator until a
+:meth:`~repro.sim.faultsim.IncrementalFaultSimulator.regroup` drops
+them.  The walk regroups once they are at least a quarter of its
+kernel's lanes, checked at two points: a detecting step at least
+:data:`REGROUP_STEPS` steps after the last regroup, and the step a dry
+spell reaches ``patience``.  The second catches a walk whose last
+detection comes early (g386: cycle 49 of 2,000), which would otherwise
+carry its detected lanes to the end.  Regrouping never changes ``T``.
+
 The result is deterministic in the seed.  Coverage is whatever the walk
 achieves — exactly like a real ATPG tool, the downstream procedure
 treats the *detected set* as the target set, so the paper's "complete
@@ -44,6 +53,15 @@ CANDIDATES = 4
 PATIENCE = 64
 """Unproductive time units before dry-spell walking (the default
 ``patience``)."""
+
+REGROUP_STEPS = 128
+"""Steps after a regroup before a detecting step may regroup again."""
+
+REGROUP_SHARE = 4
+"""The walk regroups only once detected faults are at least
+``1 / REGROUP_SHARE`` of its kernel's lanes (the carried faults plus
+the good machine): on g820 smaller repacks (640 → 615 → 612 → 608
+lanes) each paid a compile and saved almost nothing."""
 
 
 @dataclass(frozen=True)
@@ -134,11 +152,16 @@ def generate_test_sequence(
         if newly:
             detected.extend(newly)
             dry_run = 0
-            if since_regroup >= 128:
-                sim.regroup()
-                since_regroup = 0
         else:
             dry_run += 1
+        # A dry spell may outlast the walk, and then no detecting step
+        # would come to regroup.
+        due = since_regroup >= REGROUP_STEPS if newly else dry_run == patience
+        if due and REGROUP_SHARE * (
+            sim.n_carried - sim.n_remaining
+        ) >= sim.n_carried + 1:
+            sim.regroup()
+            since_regroup = 0
 
     sequence = TestSequence(patterns)
     undetected = tuple(sorted(sim.remaining_faults()))

@@ -254,6 +254,20 @@ def test_flow_keys_ignore_the_search_budget():
     )
 
 
+def test_optimize_keys_ignore_static_prune():
+    # A search never reads the flag, so a flagged optimize job would
+    # compute and store the same front under a second key; a flow
+    # reports an extra section with it, so its key still moves.
+    import dataclasses
+
+    optimize = make_spec(1, task="optimize")
+    flagged = dataclasses.replace(optimize, static_prune=True)
+    assert flagged.optimize_config() == optimize.optimize_config()
+    assert flagged.key() == optimize.key()
+    flow = make_spec(1, task="flow")
+    assert dataclasses.replace(flow, static_prune=True).key() != flow.key()
+
+
 def test_cancelled_job_is_revived_by_resubmit(tmp_path):
     queue = JobQueue(tmp_path / "journal.json")
     job, _ = queue.submit(make_spec(1))

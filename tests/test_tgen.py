@@ -1,23 +1,34 @@
 """Tests for the test-generation substrate: TestSequence, the
 simulation-based generator, and static compaction — including the proof
-that checkpoint-resumed compaction equals the cycle-0 formulation, and
-the kernel step counts both phases are held to."""
+that checkpoint-resumed compaction equals the cycle-0 formulation, that
+a check decided at state re-convergence gives the full check's verdict,
+and the kernel step counts both phases are held to."""
 
 from __future__ import annotations
 
 import hashlib
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.circuit import load_circuit
 from repro.circuit.synth import SynthSpec, synthesize
 from repro.errors import SimulationError
-from repro.sim import FaultSimulator, VX, collapse_faults
+from repro.sim import (
+    FaultSimulator,
+    IncrementalFaultSimulator,
+    VX,
+    collapse_faults,
+    compile_circuit,
+)
 from repro.sim.faults import all_faults, fault_name
+from repro.sim.vector import engine
+from repro.sim.vector.engine import VectorCompaction
 from repro.sim.vector.kernels import IntKernel
 from repro.tgen import TestSequence, compact_sequence, generate_test_sequence
-from repro.tgen.compaction import CompactionResult
+from repro.tgen.compaction import CompactionResult, _omit_blocks, _ResumedChecks
 
 
 class TestTestSequence:
@@ -249,28 +260,117 @@ class TestResumedCompaction:
             assert got == expected, backend
 
 
+def _x_heavy_case(seed, n_pi, n_ff, n_gates, stim_seed):
+    """A random synthesized circuit, an X-heavy stimulus of 1-40 cycles
+    (about one row in seven all X) and every fault the stimulus
+    detects."""
+    n_gates = max(n_gates, n_ff, 2)
+    circuit = synthesize(SynthSpec("hyp", n_pi, 1, n_ff, n_gates, seed=seed))
+    rng = random.Random(stim_seed)
+    rows = []
+    for _ in range(rng.randint(1, 40)):
+        if rng.random() < 0.15:
+            rows.append((VX,) * n_pi)
+        else:
+            rows.append(tuple(rng.choice((0, 1, 1, 0, VX)) for _ in range(n_pi)))
+    faults = all_faults(circuit)
+    targets = list(FaultSimulator(circuit, backend="python").run(rows, faults).detected)
+    rng.shuffle(targets)
+    return circuit, tuple(rows), targets
+
+
+class _BothChecks:
+    """Runs the oracle's resumed checks and the vector re-convergence
+    checks side by side on the omission loop's candidates, asserting
+    equal verdicts; records ``(verdict, decided early)`` per check."""
+
+    def __init__(self, circuit, targets):
+        self.oracle = _ResumedChecks(
+            IncrementalFaultSimulator(circuit, targets, backend="python")
+        )
+        flop_pos = {name: i for i, name in enumerate(circuit.flops)}
+        self.vector = VectorCompaction(compile_circuit(circuit), flop_pos, targets)
+        self.seen = set()
+
+    def truncate(self, patterns):
+        length = self.oracle.truncate(patterns)
+        assert self.vector.truncate(patterns) == length
+        return length
+
+    def accepts(self, current, start, block):
+        verdict = self.oracle.accepts(current, start, block)
+        assert self.vector.accepts(current, start, block) == verdict, (
+            start, block,
+        )
+        self.seen.add((verdict, self.vector.early))
+        return verdict
+
+
+class TestReconvergedVerdicts:
+    """Hypothesis: for every candidate the omission loop offers, the
+    vector check decided at state re-convergence gives the oracle's full
+    resumed verdict, whatever the base's stride."""
+
+    def test_early_verdicts_equal_full_checks(self):
+        seen = set()
+
+        @settings(max_examples=60, deadline=None)
+        @given(
+            seed=st.integers(min_value=0, max_value=10_000),
+            n_pi=st.integers(min_value=1, max_value=5),
+            n_ff=st.integers(min_value=0, max_value=5),
+            n_gates=st.integers(min_value=3, max_value=24),
+            stim_seed=st.integers(min_value=0, max_value=10_000),
+            budget=st.integers(min_value=1, max_value=80),
+            state_budget=st.sampled_from([engine.BASE_BUDGET, 64, 1]),
+        )
+        def verdicts_agree(
+            seed, n_pi, n_ff, n_gates, stim_seed, budget, state_budget
+        ):
+            circuit, rows, targets = _x_heavy_case(
+                seed, n_pi, n_ff, n_gates, stim_seed
+            )
+            if not targets:
+                return
+            # A state budget of 1 keeps only cycle 0: every base state
+            # is re-stepped, and the cursor walks every aligned cycle.
+            with mock.patch.object(engine, "BASE_BUDGET", state_budget):
+                both = _BothChecks(circuit, targets)
+                _omit_blocks(both, rows, budget)
+            seen.update(both.seen)
+
+        verdicts_agree()
+        assert (True, True) in seen and (False, True) in seen, seen
+
+
+def _generated_digest(gen):
+    """Digest of a walk's ``T``, detected and undetected faults."""
+    text = "\n".join(
+        (
+            "\n".join(gen.sequence.to_strings()),
+            " ".join(map(fault_name, gen.detected)),
+            " ".join(map(fault_name, gen.undetected)),
+        )
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 class TestStepCounts:
     """Test generation and compaction each simulate ``T`` about once:
-    counted in :meth:`IntKernel.step` calls on g208 at flow seed 1."""
+    counted in :meth:`IntKernel.step` calls at flow seed 1."""
 
     DIGEST = "2ebb33914f436fbbc8e4ff38806f31e7c3d622a7454707415933583ce0da6e16"
     COMPACTED = "e0a34f9072bd8b05a37ce42481b74c68d47743ededd0898948c0860d7e2196d8"
+    G386_DIGEST = "233f8542435803f254421be5786dbdeb732d5af0865f6e0c9eb92f249a6fdc2b"
 
     def test_generation_steps_once_per_cycle(self, g208, kernel_steps):
         gen = generate_test_sequence(
             g208, seed=1, max_len=2000, sim_backend="vector"
         )
         assert kernel_steps[0] == len(gen.sequence) == 2000
-        text = "\n".join(
-            (
-                "\n".join(gen.sequence.to_strings()),
-                " ".join(map(fault_name, gen.detected)),
-                " ".join(map(fault_name, gen.undetected)),
-            )
-        )
-        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST
+        assert _generated_digest(gen) == self.DIGEST
 
-    def test_compaction_resumes_from_checkpoints(self, g208, kernel_steps):
+    def test_compaction_decides_at_reconvergence(self, g208, kernel_steps):
         gen = generate_test_sequence(
             g208, seed=1, max_len=2000, sim_backend="vector"
         )
@@ -279,9 +379,31 @@ class TestStepCounts:
             g208, gen.sequence, gen.detected, max_simulations=60,
             sim_backend="vector",
         )
-        # Every check re-simulating from cycle 0 takes 7,395 steps.
-        assert kernel_steps[0] <= 4000
+        # Every check re-simulating from cycle 0 takes 7,395 steps, every
+        # check resumed from a checkpoint and stepped to its end 3,407.
+        assert kernel_steps[0] <= 1000
         assert (comp.original_length, comp.compacted_length) == (2000, 96)
         assert comp.n_simulations == 60
         text = "\n".join(comp.sequence.to_strings())
         assert hashlib.sha256(text.encode()).hexdigest() == self.COMPACTED
+
+    def test_dry_walk_drops_its_detected_lanes(self, monkeypatch, kernel_steps):
+        """g386's walk detects its last fault at cycle 49 and walks dry
+        for the rest of its 2,000 cycles: it regroups once the dry spell
+        reaches ``patience``, so its kernel ends up holding only the
+        undetected faults' lanes and the good machine's."""
+        sims = []
+        init = IncrementalFaultSimulator.__init__
+
+        def recorded(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            sims.append(self)
+
+        monkeypatch.setattr(IncrementalFaultSimulator, "__init__", recorded)
+        gen = generate_test_sequence(
+            load_circuit("g386"), seed=1, max_len=2000, sim_backend="vector"
+        )
+        assert kernel_steps[0] == len(gen.sequence) == 2000
+        assert _generated_digest(gen) == self.G386_DIGEST
+        (sim,) = sims
+        assert sim._vec._kern.program.lanes == len(gen.undetected) + 1

@@ -5,14 +5,29 @@ input one weight.  Applying it for ``L_G`` cycles produces the weighted
 test sequence ``T_G`` where input ``i`` receives ``α_i^r`` — this is
 exactly what the hardware of Figure 1 applies, with all weight FSMs
 starting from their reset state (phase 0).
+
+``T_G`` is periodic: input ``i`` repeats with the length of ``α_i``'s
+canonical form, so the whole sequence repeats with the lcm ``P`` of
+those lengths.  :meth:`WeightAssignment.stimulus` therefore builds
+only ``min(P, L_G)`` rows and hands the simulators a
+:class:`~repro.sim.stimulus.PeriodicStimulus`, which keeps one minimal
+period of them; every consumer in the procedure, reverse-order
+simulation, observation-point analysis and the optimizer takes that
+object as it is.  An assignment with the pseudo-random weight has no
+such period: its ``L_G`` rows are drawn and the object keeps their
+minimal period.  :meth:`WeightAssignment.generate` is the same
+sequence as a :class:`~repro.tgen.sequence.TestSequence` of ``L_G``
+rows, for callers that read rows.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Optional, Sequence, Tuple, Union
 
 from repro.core.weight import RandomWeight, Weight
 from repro.errors import WeightError
+from repro.sim.stimulus import PeriodicStimulus
 from repro.tgen.sequence import TestSequence
 from repro.util.rng import DeterministicRng
 
@@ -77,19 +92,33 @@ class WeightAssignment:
 
     # -- generation ----------------------------------------------------------
 
-    def generate(
+    def stimulus(
         self, length: int, rng: Optional[DeterministicRng] = None
-    ) -> TestSequence:
-        """Produce the weighted test sequence ``T_G`` of ``length`` cycles.
+    ) -> PeriodicStimulus:
+        """The weighted test sequence ``T_G`` of ``length`` cycles, as one
+        period of rows plus its length.
 
         Every weight expands from phase 0, matching the hardware's FSM
         reset between weight assignments.  ``rng`` is required only when
-        the assignment contains the pseudo-random weight.
+        the assignment contains the pseudo-random weight, whose draws
+        take the same order as :meth:`generate`'s.
         """
-        if self.has_random and rng is None:
-            raise WeightError("assignment contains RandomWeight: rng required")
-        columns = [w.expand(length, rng) for w in self._weights]
-        return TestSequence(zip(*columns)) if length else TestSequence([])
+        if self.has_random:
+            if rng is None:
+                raise WeightError("assignment contains RandomWeight: rng required")
+            span = length
+        else:
+            span = min(
+                lcm(*(w.canonical().length for w in self._weights)), length
+            )
+        columns = [w.expand(span, rng) for w in self._weights]
+        return PeriodicStimulus(zip(*columns), length)
+
+    def generate(
+        self, length: int, rng: Optional[DeterministicRng] = None
+    ) -> TestSequence:
+        """:meth:`stimulus` as a :class:`TestSequence` of ``length`` rows."""
+        return TestSequence(self.stimulus(length, rng))
 
     # -- dunder ---------------------------------------------------------------
 

@@ -12,15 +12,38 @@ subsequences match the most history right before the detection time, so
 if no row ``j`` of the ``A_i`` table consists entirely of length-``L_S``
 subsequences, the length-``L_S`` member of each ``A_i`` is moved to the
 front, making ``w_0`` the all-full-length assignment.
+
+``n_m`` counts matches over the whole of ``T_i``, so it does not depend
+on the detection time: :class:`MatchCounts` computes each weight's count
+on each input once, however many detection times and lengths a
+procedure run visits.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.weight import Weight
 from repro.core.weight_set import WeightSet
 from repro.tgen.sequence import TestSequence
+
+
+class MatchCounts:
+    """``n_m`` of every (weight, input) pair over one sequence ``T``,
+    each counted once."""
+
+    def __init__(self, sequence: TestSequence) -> None:
+        self.sequence = sequence
+        self._counts: Dict[Tuple[Weight, int], int] = {}
+
+    def count(self, weight: Weight, i: int) -> int:
+        """``n_m`` of ``weight`` on input ``i``."""
+        key = (weight, i)
+        n = self._counts.get(key)
+        if n is None:
+            n = weight.match_count(self.sequence.restrict(i))
+            self._counts[key] = n
+        return n
 
 
 def candidate_sets(
@@ -29,6 +52,7 @@ def candidate_sets(
     weights: WeightSet,
     max_length: int,
     sort_by_matches: bool = True,
+    counts: Optional[MatchCounts] = None,
 ) -> List[List[Tuple[Weight, int]]]:
     """Build the ordered candidate sets ``A_i`` for every input.
 
@@ -46,6 +70,9 @@ def candidate_sets(
         Sort each ``A_i`` by decreasing ``n_m`` (the paper's rule).
         Disabling this is an ablation switch: candidates stay in ``S``
         insertion order.
+    counts:
+        The :class:`MatchCounts` of ``sequence`` to reuse across calls;
+        a fresh one when omitted.
 
     Returns
     -------
@@ -54,12 +81,14 @@ def candidate_sets(
     subsequences are preferable for hardware), then lexicographically
     for determinism.
     """
+    if counts is None:
+        counts = MatchCounts(sequence)
     pool = weights.up_to_length(max_length)
     result: List[List[Tuple[Weight, int]]] = []
     for i in range(sequence.width):
         t_i = sequence.restrict(i)
         matched = [
-            (w, w.match_count(t_i)) for w in pool if w.matches_tail(t_i, u)
+            (w, counts.count(w, i)) for w in pool if w.matches_tail(t_i, u)
         ]
         if sort_by_matches:
             matched.sort(key=lambda pair: (-pair[1], pair[0].length, pair[0].bits))

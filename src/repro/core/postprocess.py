@@ -94,8 +94,8 @@ def reverse_order_simulation(
             rng = (
                 result.generation_rng(index) if assignment.has_random else None
             )
-            t_g = assignment.generate(result.l_g, rng)
-            detections = sim.run(t_g.patterns, sorted(pending)).detection_time
+            t_g = assignment.stimulus(result.l_g, rng)
+            detections = sim.run(t_g, sorted(pending)).detection_time
             if detections:
                 kept_rev.append(assignment)
                 credited_rev.append(tuple(sorted(detections)))

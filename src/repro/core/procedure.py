@@ -53,6 +53,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.circuit.netlist import Circuit
 from repro.core.assignment import WeightAssignment
 from repro.core.candidates import (
+    MatchCounts,
     assignment_row,
     candidate_sets,
     max_rows,
@@ -65,6 +66,7 @@ from repro.sim.compile import CompiledCircuit, compile_circuit
 from repro.sim.collapse import collapse_faults
 from repro.sim.faults import Fault
 from repro.sim.faultsim import FaultSimulator
+from repro.sim.stimulus import PeriodicStimulus
 from repro.tgen.sequence import TestSequence
 from repro.trace import trace_event, traced
 from repro.util.rng import DeterministicRng
@@ -226,7 +228,7 @@ class _RowCandidate:
 
     row: int
     assignment: WeightAssignment
-    t_g: Optional[TestSequence]
+    t_g: Optional[PeriodicStimulus]
 
 
 def select_weight_assignments(
@@ -305,6 +307,7 @@ def select_weight_assignments(
     remaining: Set[Fault] = set(targets)
 
     weight_set = WeightSet()
+    counts = MatchCounts(sequence)
     omega: List[OmegaEntry] = []
     stats = ProcedureStats()
     fully_simulated: Set[WeightAssignment] = set()
@@ -327,6 +330,7 @@ def select_weight_assignments(
                         weight_set,
                         l_s,
                         sort_by_matches=cfg.sort_by_matches,
+                        counts=counts,
                     )
                     if cfg.promote:
                         cands = promote_full_length(cands, l_s)
@@ -376,7 +380,7 @@ def select_weight_assignments(
                                 _RowCandidate(
                                     j - 1,
                                     assignment,
-                                    assignment.generate(l_g, rng),
+                                    assignment.stimulus(l_g, rng),
                                 )
                             )
                         if not batch:
@@ -391,11 +395,11 @@ def select_weight_assignments(
                         to_screen = [c for c in batch if c.t_g is not None]
                         if batch_size > 1 and len(to_screen) > 1:
                             verdicts = sim.detects_any_batch(
-                                [c.t_g.patterns for c in to_screen], sample
+                                [c.t_g for c in to_screen], sample
                             )
                         else:
                             verdicts = [
-                                sim.detects_any(c.t_g.patterns, sample)
+                                sim.detects_any(c.t_g, sample)
                                 for c in to_screen
                             ]
                         verdict_of = dict(
@@ -415,9 +419,7 @@ def select_weight_assignments(
 
                             stats.full_simulations += 1
                             fully_simulated.add(cand.assignment)
-                            result = sim.run(
-                                cand.t_g.patterns, sorted(remaining)
-                            )
+                            result = sim.run(cand.t_g, sorted(remaining))
                             if result.detection_time:
                                 detected = tuple(
                                     sorted(result.detection_time)
@@ -468,10 +470,10 @@ def select_weight_assignments(
                     )
                     stats.assignments_tried += 1
                     if guarantee not in fully_simulated:
-                        t_g = guarantee.generate(l_g)
+                        t_g = guarantee.stimulus(l_g)
                         stats.full_simulations += 1
                         fully_simulated.add(guarantee)
-                        result = sim.run(t_g.patterns, sorted(remaining))
+                        result = sim.run(t_g, sorted(remaining))
                         if result.detection_time:
                             detected = tuple(sorted(result.detection_time))
                             omega.append(

@@ -63,8 +63,8 @@ def compute_op_sets(
     op_sets: Dict[Fault, Set[str]] = {f: set() for f in faults}
     for k, assignment in enumerate(assignments):
         rng = rngs[k] if rngs is not None else None
-        t_g = assignment.generate(l_g, rng)
-        result = sim.run(t_g.patterns, list(faults), record_lines=True)
+        t_g = assignment.stimulus(l_g, rng)
+        result = sim.run(t_g, list(faults), record_lines=True)
         for fault, lines in result.lines.items():
             op_sets[fault].update(lines)
     return op_sets

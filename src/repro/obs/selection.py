@@ -10,7 +10,7 @@ is computed once; every prefix of it is an ``Ω_lim``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import List, Set, Tuple
 
 from repro.circuit.netlist import Circuit
 from repro.core.assignment import WeightAssignment
@@ -26,6 +26,10 @@ class GreedyPick:
 
     Attributes
     ----------
+    index:
+        The assignment's position in ``Ω``: its weighted sequence is the
+        one :meth:`~repro.core.procedure.ProcedureResult.generation_rng`
+        of this index reproduces.
     assignment:
         The picked weight assignment.
     new_faults:
@@ -34,6 +38,7 @@ class GreedyPick:
         Total target faults covered after this pick.
     """
 
+    index: int
     assignment: WeightAssignment
     new_faults: Tuple[Fault, ...]
     cumulative_detected: int
@@ -64,8 +69,8 @@ def greedy_select(
             if entry.assignment.has_random
             else None
         )
-        t_g = entry.assignment.generate(procedure.l_g, rng)
-        detected = set(sim.run(t_g.patterns, targets).detection_time)
+        t_g = entry.assignment.stimulus(procedure.l_g, rng)
+        detected = set(sim.run(t_g, targets).detection_time)
         detection_sets.append(detected)
 
     picks: List[GreedyPick] = []
@@ -82,27 +87,10 @@ def greedy_select(
         available.remove(best_index)
         picks.append(
             GreedyPick(
+                index=best_index,
                 assignment=procedure.omega[best_index].assignment,
                 new_faults=tuple(sorted(gain)),
                 cumulative_detected=len(covered),
             )
         )
     return picks
-
-
-def detection_sets_by_pick(
-    circuit: Circuit,
-    procedure: ProcedureResult,
-    picks: List[GreedyPick],
-    compiled: CompiledCircuit | None = None,
-) -> Dict[int, Set[Fault]]:
-    """Faults detected by each pick's sequence against the full target
-    set (prefix-cumulative sets are unions of these)."""
-    comp = compiled or compile_circuit(circuit)
-    sim = FaultSimulator(circuit, comp)
-    targets = list(procedure.target_faults)
-    out: Dict[int, Set[Fault]] = {}
-    for k, pick in enumerate(picks):
-        t_g = pick.assignment.generate(procedure.l_g)
-        out[k] = set(sim.run(t_g.patterns, targets).detection_time)
-    return out

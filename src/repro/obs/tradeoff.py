@@ -9,12 +9,18 @@ fault efficiency with them (final ``f.e.``).
 Fault efficiency is the paper's definition: faults detected by
 ``Ω_lim`` divided by faults detected by ``Ω`` (the full target set,
 since ``Ω`` covers it by construction), in percent.
+
+``OP(f)`` under a prefix is the union of ``f``'s lines under each of its
+sequences, and a fault's lines under one sequence do not depend on the
+faults simulated beside it.  So the sweep simulates each pick's sequence
+once, over the faults the first row using it leaves undetected (every
+later row leaves a subset of them), and unions those line sets per row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Set
+from typing import Dict, List, Sequence, Set
 
 from repro.circuit.netlist import Circuit
 from repro.core.procedure import ProcedureResult
@@ -97,6 +103,7 @@ def observation_point_tradeoff(
 
     rows: List[TradeoffRow] = []
     covered: Set[Fault] = set()
+    pick_lines: List[Dict[Fault, Set[str]]] = []
     for k, pick in enumerate(picks, start=1):
         covered |= set(pick.new_faults)
         assignments = [p.assignment for p in picks[:k]]
@@ -106,14 +113,21 @@ def observation_point_tradeoff(
         with traced(runtime, "tradeoff_row", k=k, undetected=len(undetected)):
             if undetected:
                 with traced(runtime, "op_sets", k=k):
-                    op_sets = compute_op_sets(
-                        circuit,
-                        assignments,
-                        undetected,
-                        procedure.l_g,
-                        compiled=comp,
-                        runtime=runtime,
+                    pick_lines.append(
+                        compute_op_sets(
+                            circuit,
+                            [pick.assignment],
+                            undetected,
+                            procedure.l_g,
+                            rngs=[procedure.generation_rng(pick.index)],
+                            compiled=comp,
+                            runtime=runtime,
+                        )
                     )
+                    op_sets = {
+                        f: set().union(*(lines[f] for lines in pick_lines))
+                        for f in undetected
+                    }
                 cover = greedy_cover(op_sets)
                 n_obs = len(cover.lines)
                 fe_obs = (

@@ -31,6 +31,7 @@ from repro.hw.tpg import synthesize_tpg
 from repro.sim.compile import CompiledCircuit, compile_circuit
 from repro.sim.faults import Fault, fault_name
 from repro.sim.faultsim import FaultSimulator
+from repro.sim.stimulus import PeriodicStimulus
 from repro.trace import trace_event
 
 #: A phase is one weight assignment applied for one window of cycles.
@@ -97,15 +98,13 @@ class PhaseEvaluator:
         simulated its candidate windows).
         """
         order: List[PhaseKey] = []
-        stimuli: Dict[PhaseKey, Tuple[Tuple, ...]] = {}
+        stimuli: Dict[PhaseKey, PeriodicStimulus] = {}
         for assignment, window in phases:
             key = phase_key(assignment, window)
             if key in self._memo or key in stimuli:
                 continue
             order.append(key)
-            stimuli[key] = tuple(
-                tuple(row) for row in assignment.generate(window)
-            )
+            stimuli[key] = assignment.stimulus(window)
         pending = self._fill_from_cache(order, stimuli)
         self._simulate_pending(pending, stimuli)
         return [self._memo[phase_key(a, w)] for a, w in phases]
@@ -135,7 +134,7 @@ class PhaseEvaluator:
         )
 
     def _fill_from_cache(
-        self, order: List[PhaseKey], stimuli: Dict[PhaseKey, Tuple]
+        self, order: List[PhaseKey], stimuli: Dict[PhaseKey, PeriodicStimulus]
     ) -> List[PhaseKey]:
         """Resolve phases from the artifact cache; return the misses."""
         ctx = self.runtime
@@ -156,7 +155,7 @@ class PhaseEvaluator:
         return pending
 
     def _simulate_pending(
-        self, pending: List[PhaseKey], stimuli: Dict[PhaseKey, Tuple]
+        self, pending: List[PhaseKey], stimuli: Dict[PhaseKey, PeriodicStimulus]
     ) -> None:
         """Simulate the remaining phases in this process, in order.
 
@@ -166,7 +165,7 @@ class PhaseEvaluator:
             return
         sim = FaultSimulator(self.circuit, self.comp, backend=self.backend)
         results = sim.run_batch(
-            [list(stimuli[key]) for key in pending], list(self.faults)
+            [stimuli[key] for key in pending], list(self.faults)
         )
         for key, result in zip(pending, results):
             names = [fault_name(f) for f in result.detection_time]

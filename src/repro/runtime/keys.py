@@ -16,6 +16,10 @@ Fingerprint sources:
   (:func:`repro.sim.faults.fault_name`); detection results do not
   depend on fault order.
 * **Stimulus** — the ``0``/``1``/``x`` rendering, one row per cycle.
+  A :class:`~repro.sim.stimulus.PeriodicStimulus` hashes exactly these
+  bytes too, those of the list of rows it stands for, so its entries
+  and that list's are one; it renders its period's rows once and
+  repeats them.
 * **Config** — a JSON rendering with sorted keys.
 
 The config's ``kind`` names what the entry holds: one fault simulation
@@ -38,6 +42,7 @@ from typing import Iterable, Mapping, Sequence
 from repro.circuit.bench import write_bench
 from repro.circuit.netlist import Circuit
 from repro.sim.faults import Fault, fault_name
+from repro.sim.stimulus import PeriodicStimulus
 from repro.sim.values import Value, to_char
 
 CACHE_FORMAT = 1
@@ -73,9 +78,16 @@ def _row_text(row: Sequence[Value]) -> bytes:
 
 
 def stimulus_fingerprint(stimulus: Iterable[Sequence[Value]]) -> str:
-    """Fingerprint of a stimulus (one ``0``/``1``/``x`` row per cycle)."""
-    rows = b"\n".join(_row_text(row) for row in stimulus)
-    return hashlib.sha256(rows).hexdigest()
+    """Fingerprint of a stimulus (one ``0``/``1``/``x`` row per cycle).
+
+    A :class:`~repro.sim.stimulus.PeriodicStimulus` gives the bytes of
+    its ``L`` rows, built by repeating one period's rendered rows.
+    """
+    if isinstance(stimulus, PeriodicStimulus):
+        texts = stimulus.tile([_row_text(row) for row in stimulus.rows])
+    else:
+        texts = [_row_text(row) for row in stimulus]
+    return hashlib.sha256(b"\n".join(texts)).hexdigest()
 
 
 def faults_fingerprint(faults: Iterable[Fault]) -> str:

@@ -10,6 +10,7 @@ counts of equivalence-collapsed faults over exactly this universe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.circuit.gates import GateType
@@ -57,10 +58,24 @@ class Fault:
         """Deterministic total order (stems before branches of a net)."""
         return (self.net, self.stuck, self.gate or "", self.pin if self.pin is not None else -1)
 
+    @cached_property
+    def _order(self) -> tuple:
+        """:attr:`sort_key`, built once per fault: sorting a fault list
+        compares keys far more often than it creates faults.  It lives in
+        the instance dict, outside the dataclass fields, so ``repr``,
+        ``==``, ``hash`` and ``asdict`` never see it, and
+        :meth:`__getstate__` keeps it out of pickles."""
+        return self.sort_key
+
     def __lt__(self, other: "Fault") -> bool:
         if not isinstance(other, Fault):
             return NotImplemented
-        return self.sort_key < other.sort_key
+        return self._order < other._order
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        state.pop("_order", None)
+        return state
 
 
 def fault_name(fault: Fault) -> str:

@@ -19,10 +19,10 @@ Two front ends share the stepping engine:
   screening, and :meth:`~FaultSimulator.output_responses`, the
   every-position PO responses that MISR grading and fault dictionaries
   consume.
-* :class:`IncrementalFaultSimulator` — pattern-at-a-time stepping with
-  snapshot/restore, used by the simulation-based test generator to
-  score candidate patterns and by the oracle's static compaction to
-  resume checks, neither re-simulating the prefix.
+* :class:`IncrementalFaultSimulator` — pattern-at-a-time stepping, used
+  by the simulation-based test generator to score candidate patterns.
+  On the oracle it also takes snapshots, from which the oracle's static
+  compaction resumes its checks.  Neither re-simulates the prefix.
 
 :class:`FaultSimulator` optionally plugs into the runtime layer
 (:mod:`repro.runtime`): given a
@@ -663,7 +663,7 @@ class FaultSimulator:
 
 
 class IncrementalFaultSimulator:
-    """Pattern-at-a-time fault simulation with snapshot/restore.
+    """Pattern-at-a-time fault simulation.
 
     The sequence being built or checked is never re-simulated from its
     start:
@@ -679,12 +679,12 @@ class IncrementalFaultSimulator:
       the one at the removed block's start with :meth:`restore`.  The
       vector backend's compaction decides its checks at state
       re-convergence instead
-      (:class:`~repro.sim.vector.engine.VectorCompaction`).
+      (:class:`~repro.sim.vector.engine.VectorCompaction`), so
+      snapshots exist on the oracle only.
 
     A step that detects repacks the survivors once they fit in half
-    the words or groups, on both backends.  A snapshot carries the lane
-    layout it was taken in (the vector kernel and its lane→fault tuple,
-    or the oracle's group list), so a restore across a repack is exact.
+    the words or groups, on both backends.  A snapshot carries the
+    group list it was taken in, so a restore across a repack is exact.
     """
 
     def __init__(
@@ -798,20 +798,26 @@ class IncrementalFaultSimulator:
         return count
 
     def snapshot(self) -> tuple:
-        """The whole simulation state, for a later :meth:`restore`."""
-        if self._vec is not None:
-            return (self._n_detected, self._vec.snapshot())
+        """The whole simulation state, for a later :meth:`restore`
+        (python backend only)."""
+        self._oracle_only("snapshot")
         return (self._n_detected, [(g, g.snapshot()) for g in self._groups])
 
     def restore(self, snap: tuple) -> None:
-        """Return to a :meth:`snapshot` (any number of times)."""
+        """Return to a :meth:`snapshot` (any number of times; python
+        backend only)."""
+        self._oracle_only("restore")
         self._n_detected, state = snap
-        if self._vec is not None:
-            self._vec.restore(state)
-            return
         self._groups = [group for group, _ in state]
         for group, group_snap in state:
             group.restore(group_snap)
+
+    def _oracle_only(self, method: str) -> None:
+        if self._vec is not None:
+            raise SimulationError(
+                f"{method} needs the python backend; the vector backend "
+                "keeps no snapshots"
+            )
 
     def reset_state(self) -> None:
         """Reset the circuit state to all-X in every machine."""

@@ -21,10 +21,14 @@ Semantics are defined by the pure-Python oracle; everything here is
   enough faults have been detected (the vectorized analogue of
   ``IncrementalFaultSimulator.regroup`` — behaviourally invisible
   because every surviving machine's flip-flop state is preserved);
-* periodic early-out: a weighted sequence repeats with the period
-  ``P`` of its patterns, so ``run``, screens and batched runs also stop
-  a block once its state at a multiple of ``P`` repeats an earlier one
-  (:class:`_Checkpoint`).  The stop is exact.  A synchronous machine's
+* periodic early-out: a weighted sequence repeats with its minimal
+  period ``P``, so ``run``, screens and batched runs also stop a block
+  once its state at a multiple of ``P`` repeats an earlier one
+  (:class:`_Checkpoint`).  The period comes from the stimulus
+  (:func:`~repro.sim.stimulus.stimulus_period`): a
+  :class:`~repro.sim.stimulus.PeriodicStimulus`, which is how every
+  weighted sequence arrives, carries it, and only a plain list of rows
+  is searched for one.  The stop is exact.  A synchronous machine's
   next state is a function of its state and its input, and from the
   repeat on the input replays too, so the run would replay the stretch
   between the two checkpoints forever; that stretch left the active
@@ -42,6 +46,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from repro.errors import SimulationError
 from repro.sim.compile import CompiledCircuit
 from repro.sim.faults import Fault
+from repro.sim.stimulus import stimulus_period
 from repro.sim.values import V0, V1, VX, Value
 from repro.sim.vector import kernels
 from repro.sim.vector.kernels import WORD_BITS, IntKernel
@@ -68,31 +73,6 @@ def _check_pattern(pattern: Sequence[Value], n_pi: int) -> Tuple[Value, ...]:
 
 def _popcount(mask: int) -> int:
     return bin(mask).count("1")
-
-
-def _period(stimulus: Sequence[Sequence[Value]]) -> int:
-    """Smallest ``p`` with ``stimulus[u] == stimulus[u + p]`` for every
-    ``u + p < len(stimulus)``; the length itself when aperiodic.
-
-    The length minus the longest proper border, from the prefix function
-    over the rows (Knuth–Morris–Pratt, O(length)).  A row that is not
-    iterable makes the stimulus aperiodic, so validation meets it where
-    the oracle does.
-    """
-    try:
-        rows = [tuple(p) for p in stimulus]
-    except TypeError:
-        return len(stimulus)
-    border = [0] * len(rows)
-    k = 0
-    for i in range(1, len(rows)):
-        row = rows[i]
-        while k and row != rows[k]:
-            k = border[k - 1]
-        if row == rows[k]:
-            k += 1
-        border[i] = k
-    return len(rows) - k
 
 
 class _Checkpoint:
@@ -263,7 +243,7 @@ class VectorEngine:
             {f: set() for f in faults} if record_lines else {}
         )
         n_pi = self._n_pi
-        period = _period(stimulus)
+        period = stimulus_period(stimulus)
         check = _Checkpoint(kern, period, all_lanes=record_lines)
         for u, pattern in enumerate(stimulus):
             if check.repeated(u):
@@ -350,7 +330,10 @@ class VectorEngine:
         kern = IntKernel(prog, n_blocks)
         lens = [len(s) for s in chunk]
         done = [length == 0 for length in lens]
-        checks = [_Checkpoint(kern, _period(s), b) for b, s in enumerate(chunk)]
+        checks = [
+            _Checkpoint(kern, stimulus_period(s), b)
+            for b, s in enumerate(chunk)
+        ]
         verdicts = [False] * n_blocks
         n_pi = self._n_pi
         for b, is_done in enumerate(done):
@@ -411,7 +394,10 @@ class VectorEngine:
         lane_fault = prog.faults
         lens = [len(s) for s in chunk]
         done = [length == 0 for length in lens]
-        checks = [_Checkpoint(kern, _period(s), b) for b, s in enumerate(chunk)]
+        checks = [
+            _Checkpoint(kern, stimulus_period(s), b)
+            for b, s in enumerate(chunk)
+        ]
         detections: List[Dict[Fault, int]] = [dict() for _ in range(n_blocks)]
         n_pi = self._n_pi
         bb = kern.block_bits
@@ -566,17 +552,6 @@ class VectorIncremental:
         det = self._kern.step([pat])
         self._kern.restore(snap)
         return _popcount(det)
-
-    def snapshot(self):
-        """The kernel, its lane→fault tuple and its state."""
-        return (self._kern, self._lane_fault, self._kern.snapshot())
-
-    def restore(self, snap) -> None:
-        """Reinstate :meth:`snapshot` output, in the layout it was taken."""
-        kern, lane_fault, state = snap
-        kern.restore(state)
-        self._kern = kern
-        self._lane_fault = lane_fault
 
     def reset_state(self) -> None:
         self._kern.reset_state()

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence, Tuple
 
-from repro.errors import SimulationError
-from repro.sim.values import V0, V1, VX, Value, resolve_char, to_char
+from repro.sim.stimulus import validated_rows
+from repro.sim.values import Value, resolve_char, to_char
 
 
 class TestSequence:
@@ -29,21 +29,14 @@ class TestSequence:
         the same width (the number of primary inputs).
     """
 
-    __slots__ = ("_patterns",)
+    __slots__ = ("_patterns", "_columns")
 
     #: Not a pytest test class despite the name.
     __test__ = False
 
     def __init__(self, patterns: Iterable[Sequence[Value]]) -> None:
-        rows = [tuple(p) for p in patterns]
-        widths = {len(r) for r in rows}
-        if len(widths) > 1:
-            raise SimulationError(f"ragged test sequence: widths {sorted(widths)}")
-        for row in rows:
-            for value in row:
-                if value not in (V0, V1, VX):
-                    raise SimulationError(f"bad ternary value {value!r} in sequence")
-        self._patterns: Tuple[Tuple[Value, ...], ...] = tuple(rows)
+        self._patterns: Tuple[Tuple[Value, ...], ...] = validated_rows(patterns)
+        self._columns: Tuple[Tuple[Value, ...], ...] | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -77,8 +70,16 @@ class TestSequence:
         return self._patterns[u][i]
 
     def restrict(self, i: int) -> Tuple[Value, ...]:
-        """``T_i``: the whole sequence restricted to input ``i``."""
-        return tuple(row[i] for row in self._patterns)
+        """``T_i``: the whole sequence restricted to input ``i``.
+
+        The columns are transposed once, on the first call: the
+        procedure restricts ``T`` at every detection time it visits.
+        """
+        if not self._patterns:
+            return ()
+        if self._columns is None:
+            self._columns = tuple(zip(*self._patterns))
+        return self._columns[i]
 
     @property
     def width(self) -> int:

@@ -6,6 +6,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core import ProcedureConfig, select_weight_assignments
+from repro.core.assignment import WeightAssignment
+from repro.core.weight import RandomWeight
 from repro.obs import (
     compute_op_sets,
     format_tradeoff,
@@ -157,3 +159,53 @@ class TestTradeoff:
         text = format_tradeoff("s27", rows)
         assert "s27" in text
         assert "f.e." in text
+
+
+class TestRandomWeightTradeoff:
+    """An Ω entry with the pseudo-random weight: every row's OP sets are
+    simulated with that entry's own generation rng."""
+
+    @pytest.fixture(scope="class")
+    def flow(self):
+        from dataclasses import replace
+
+        from repro import FlowConfig, run_full_flow
+
+        flow = run_full_flow("s27", FlowConfig(procedure=ProcedureConfig(l_g=64)))
+        first = flow.procedure.omega[0]
+        weights = (RandomWeight(),) + first.assignment.weights[1:]
+        omega = [replace(first, assignment=WeightAssignment(weights))]
+        return flow, replace(flow.procedure, omega=omega + flow.procedure.omega[1:])
+
+    def test_op_sets_use_each_picks_rng(self, flow, monkeypatch):
+        import repro.obs.tradeoff as tradeoff
+
+        flow, procedure = flow
+        seen = []
+        cover = tradeoff.greedy_cover
+
+        def recorded(op_sets):
+            seen.append(op_sets)
+            return cover(op_sets)
+
+        monkeypatch.setattr(tradeoff, "greedy_cover", recorded)
+        rows = observation_point_tradeoff(flow.circuit, procedure)
+        assert rows and seen
+        picks = greedy_select(flow.circuit, procedure)
+        assert picks[0].assignment.has_random
+        assert [p.assignment for p in picks] == [
+            procedure.omega[p.index].assignment for p in picks
+        ]
+        covered = set()
+        for k, (pick, op_sets) in enumerate(zip(picks, seen), start=1):
+            covered |= set(pick.new_faults)
+            undetected = [
+                f for f in procedure.target_faults if f not in covered
+            ]
+            assert op_sets == compute_op_sets(
+                flow.circuit,
+                [p.assignment for p in picks[:k]],
+                undetected,
+                procedure.l_g,
+                rngs=[procedure.generation_rng(p.index) for p in picks[:k]],
+            )

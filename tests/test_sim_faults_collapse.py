@@ -2,13 +2,58 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.circuit import CircuitBuilder
 from repro.errors import FaultModelError
 from repro.sim import Fault, all_faults, collapse_faults, fault_name
 from repro.sim.collapse import collapse_ratio, equivalence_classes
 from repro.sim.faults import validate_fault
+
+
+fault_strategy = st.builds(
+    Fault,
+    net=st.sampled_from(["G1", "G10", "G2", "a", "b_1"]),
+    stuck=st.integers(min_value=0, max_value=1),
+) | st.builds(
+    Fault,
+    net=st.sampled_from(["G1", "G10", "G2", "a"]),
+    stuck=st.integers(min_value=0, max_value=1),
+    gate=st.sampled_from(["", "G1", "G15", "x"]),
+    pin=st.integers(min_value=0, max_value=3),
+)
+
+
+class TestFaultOrder:
+    """``Fault.__lt__`` compares a key it builds once per fault; the
+    order and every other view of a fault are the ``sort_key`` ones."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(faults=st.lists(fault_strategy, max_size=40))
+    def test_sorted_is_sort_key_order(self, faults):
+        assert sorted(faults) == sorted(faults, key=lambda f: f.sort_key)
+        # Twice: the second sort reads the keys the first one built.
+        assert sorted(faults) == sorted(faults, key=lambda f: f.sort_key)
+
+    def test_key_is_no_field(self):
+        fault = Fault("G8", 1, gate="G15", pin=1)
+        fresh = Fault("G8", 1, gate="G15", pin=1)
+        before = pickle.dumps(fault)
+        assert fault < Fault("G9", 0)  # builds the key
+        assert [f.name for f in dataclasses.fields(Fault)] == [
+            "net", "stuck", "gate", "pin"
+        ]
+        assert repr(fault) == repr(fresh)
+        assert fault == fresh and hash(fault) == hash(fresh)
+        assert dataclasses.asdict(fault) == dataclasses.asdict(fresh)
+        assert pickle.dumps(fault) == before == pickle.dumps(fresh)
+        assert copy.deepcopy(fault) == fault
+        assert pickle.loads(before) < Fault("G9", 0)
 
 
 class TestFault:

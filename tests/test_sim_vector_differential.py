@@ -544,7 +544,8 @@ class TestStepBestAndSnapshots:
     def test_snapshot_restore_across_relane(self, monkeypatch):
         """A snapshot taken before a repack (automatic on both backends
         once the survivors fit in half the words or groups) restores
-        exactly, and so does one taken after it."""
+        exactly, and so does one taken after it.  Snapshots exist on
+        the oracle only; the vector backend steps the same walk."""
         relanes = {"python": [], "vector": []}
         regroup = IncrementalFaultSimulator.regroup
         relane = VectorIncremental.regroup
@@ -562,21 +563,38 @@ class TestStepBestAndSnapshots:
         circuit = load_circuit("g208")
         faults = all_faults(circuit)
         walk = self._walk(circuit, 60, 5)
-        for backend in ("python", "vector"):
-            inc = IncrementalFaultSimulator(circuit, faults, backend=backend)
-            before = inc.snapshot()
-            first = [inc.step(p) for p in walk]
-            remaining = inc.remaining_faults()
-            after = inc.snapshot()
-            second = [inc.step(p) for p in walk]
-            inc.restore(before)
-            assert inc.n_remaining == len(faults)
-            assert [inc.step(p) for p in walk] == first
-            inc.restore(after)
-            assert inc.remaining_faults() == remaining
-            assert [inc.step(p) for p in walk] == second
+        inc = IncrementalFaultSimulator(circuit, faults, backend="python")
+        before = inc.snapshot()
+        first = [inc.step(p) for p in walk]
+        remaining = inc.remaining_faults()
+        after = inc.snapshot()
+        second = [inc.step(p) for p in walk]
+        inc.restore(before)
+        assert inc.n_remaining == len(faults)
+        assert [inc.step(p) for p in walk] == first
+        inc.restore(after)
+        assert inc.remaining_faults() == remaining
+        assert [inc.step(p) for p in walk] == second
+        vec = IncrementalFaultSimulator(circuit, faults, backend="vector")
+        assert [vec.step(p) for p in walk] == first
+        assert vec.remaining_faults() == remaining
         assert relanes["python"] and relanes["vector"]
         assert relanes["vector"][0] == len(faults)
+
+    def test_vector_snapshot_raises(self):
+        """The vector backend keeps no snapshots: both calls raise one
+        line that names the python backend, and change nothing."""
+        circuit = load_circuit("s27")
+        faults = all_faults(circuit)
+        inc = IncrementalFaultSimulator(circuit, faults, backend="vector")
+        inc.step([0, 1, 0, 1])
+        remaining = inc.remaining_faults()
+        for call in (inc.snapshot, lambda: inc.restore((0, []))):
+            with pytest.raises(SimulationError) as raised:
+                call()
+            assert "python backend" in str(raised.value)
+            assert "\n" not in str(raised.value)
+        assert inc.remaining_faults() == remaining
 
     def test_oracle_repacks_once_survivors_fit_half(self, monkeypatch):
         """After a detecting step the oracle holds fewer than twice the
@@ -1143,7 +1161,6 @@ class TestTierUp:
 
         inc_py = IncrementalFaultSimulator(circuit, faults, backend="python")
         inc_vec = IncrementalFaultSimulator(circuit, faults, backend="vector")
-        snaps = None
         for u, pattern in enumerate(stimuli[0]):
             if u % 3 == 0:
                 cands = [
@@ -1155,19 +1172,10 @@ class TestTierUp:
             else:
                 assert inc_py.peek(pattern) == inc_vec.peek(pattern)
                 assert inc_py.step(pattern) == inc_vec.step(pattern)
-            if u == 40:
-                snaps = (inc_py.snapshot(), inc_vec.snapshot(), u)
             if u == 90:
                 inc_py.regroup()
                 inc_vec.regroup()
             assert inc_py.remaining_faults() == inc_vec.remaining_faults()
-        # Back to a state taken on the covering code, replayed on
-        # whatever code its kernel's program runs now.
-        inc_py.restore(snaps[0])
-        inc_vec.restore(snaps[1])
-        for pattern in stimuli[1][snaps[2] + 1 :]:
-            assert inc_py.step(pattern) == inc_vec.step(pattern)
-        assert inc_py.remaining_faults() == inc_vec.remaining_faults()
 
         # A malformed pattern after the tier-up raises the oracle's error.
         for bad in ([0] * (n_pi + 1), [7] * n_pi):
@@ -1244,8 +1252,7 @@ class TestTierUp:
 
     def test_kernels_on_one_program_switch_together(self, tier_ups):
         """``step_best``'s scoring kernel and the committed kernel share
-        a program: whichever tiers it up, both run its own layout next,
-        and a snapshot taken before restores after."""
+        a program: whichever tiers it up, both run its own layout next."""
         circuit = load_circuit("g208")
         faults = collapse_faults(circuit)[::3]
         rng = random.Random(47)
@@ -1255,7 +1262,6 @@ class TestTierUp:
         ]
         twin = IncrementalFaultSimulator(circuit, faults, backend="python")
         inc = IncrementalFaultSimulator(circuit, faults, backend="vector")
-        before = (twin.snapshot(), inc.snapshot())
         for cands in walk:
             assert inc.step_best(cands) == twin.step_best(cands)
             assert inc.peek(cands[0]) == twin.peek(cands[0])
@@ -1265,10 +1271,6 @@ class TestTierUp:
         assert vec._scorer.program is vec._kern.program
         for kern in (vec._kern, vec._scorer):
             assert kern._step_ops is kern.program.code.fn
-        twin.restore(before[0])
-        inc.restore(before[1])
-        for cands in walk:
-            assert inc.step(cands[2]) == twin.step(cands[2])
         assert inc.remaining_faults() == twin.remaining_faults()
 
     def test_uncovered_list_compiles_at_once(self, tier_ups):

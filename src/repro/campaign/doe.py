@@ -110,7 +110,7 @@ class DesignPoint:
         """The :class:`JobSpec` this point demands.
 
         ``overrides`` supply non-factor fields (client, priority,
-        execution budget); a factor always wins over an override.
+        sequence budgets); a factor always wins over an override.
         """
         fields: Dict[str, object] = dict(overrides)
         fields.update(self.factors)
@@ -360,16 +360,14 @@ def _run_local(
     overrides: Mapping[str, object],
     report: IngestReport,
 ) -> Tuple[int, List[int]]:
-    from repro.serve.scheduler import ContextPool
+    from repro.runtime.context import RuntimeContext
     from repro.serve.worker import execute_job
 
-    pool = ContextPool(cache_dir=None, enable_cache=False)
     done = 0
     failed: List[int] = []
-    try:
+    with RuntimeContext(enable_cache=False) as runtime:
         for point in design:
             spec = point.job_spec(**overrides)
-            runtime = pool.acquire(spec.budget())
             outcome = execute_job(spec, runtime)
             if not outcome.ok or outcome.payload is None:
                 failed.append(point.index)
@@ -391,6 +389,4 @@ def _run_local(
                 store, campaign, point, spec, outcome.payload, record, report
             )
             done += 1
-    finally:
-        pool.close()
     return done, failed

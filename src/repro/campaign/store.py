@@ -464,8 +464,8 @@ class CampaignStore:
     def ingest_journal(
         self, path: Union[str, Path], source: str = ""
     ) -> IngestReport:
-        """A resilience checkpoint journal (flow checkpoints, serve
-        queue journals and journal shards all share the layout)."""
+        """A resilience checkpoint journal (flow checkpoints and serve
+        queue journals share the layout)."""
         report = IngestReport()
         payload = _read_json(path)
         entries = payload.get("entries")
@@ -621,7 +621,7 @@ class CampaignStore:
         """Ingest one file or directory, sniffing the artifact format.
 
         Directories recurse over ``*.json`` files (sorted); a serve
-        state dir's layout (queue journal, shards, results, traces) is
+        state dir's layout (queue journal, results, traces) is
         just files, so it needs no special casing.
         """
         path = Path(path)

@@ -391,10 +391,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="fault-simulation backend the job runs with; "
                         "results (and the job key) are backend-"
                         "independent (default: auto)")
-    p.add_argument("--job-workers", type=int, default=1, metavar="N",
-                   help="worker processes of the job's runtime context; "
-                        "a job is one flow or search and runs in one "
-                        "process (default: 1)")
     p.add_argument("--wait", action="store_true",
                    help="poll until the job finishes and print the result")
     p.add_argument("--timeout", type=float, default=300.0, metavar="SECONDS",
@@ -1059,7 +1055,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         population=args.population,
         generations=args.generations,
         client=client_id,
-        jobs=args.job_workers,
     )
     if args.priority is not None:
         spec_kwargs["priority"] = args.priority

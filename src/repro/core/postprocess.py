@@ -11,7 +11,7 @@ has covered yet, and drops the rest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Set, Tuple
+from typing import List, Tuple
 
 from repro.circuit.netlist import Circuit
 from repro.core.assignment import WeightAssignment
@@ -75,7 +75,8 @@ def reverse_order_simulation(
         if simulator is not None
         else FaultSimulator(circuit, comp, runtime=runtime, backend=sim_backend)
     )
-    pending: Set[Fault] = set(result.target_faults)
+    # Kept in fault order, so every simulation sees it sorted.
+    pending: List[Fault] = sorted(result.target_faults)
 
     kept_rev: List[WeightAssignment] = []
     credited_rev: List[Tuple[Fault, ...]] = []
@@ -95,11 +96,11 @@ def reverse_order_simulation(
                 result.generation_rng(index) if assignment.has_random else None
             )
             t_g = assignment.stimulus(result.l_g, rng)
-            detections = sim.run(t_g, sorted(pending)).detection_time
+            detections = sim.run(t_g, pending).detection_time
             if detections:
                 kept_rev.append(assignment)
                 credited_rev.append(tuple(sorted(detections)))
-                pending.difference_update(detections)
+                pending = [f for f in pending if f not in detections]
             else:
                 dropped.append(assignment)
             trace_event(

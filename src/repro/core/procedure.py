@@ -304,7 +304,8 @@ def select_weight_assignments(
             sequence.patterns, list(faults)
         ).detection_time
     targets: Tuple[Fault, ...] = tuple(sorted(detection_time))
-    remaining: Set[Fault] = set(targets)
+    # Kept in fault order, so every simulation sees it sorted.
+    remaining: List[Fault] = list(targets)
 
     weight_set = WeightSet()
     counts = MatchCounts(sequence)
@@ -419,7 +420,7 @@ def select_weight_assignments(
 
                             stats.full_simulations += 1
                             fully_simulated.add(cand.assignment)
-                            result = sim.run(cand.t_g, sorted(remaining))
+                            result = sim.run(cand.t_g, remaining)
                             if result.detection_time:
                                 detected = tuple(
                                     sorted(result.detection_time)
@@ -441,7 +442,11 @@ def select_weight_assignments(
                                     row=cand.row,
                                     detected=len(detected),
                                 )
-                                remaining.difference_update(detected)
+                                remaining = [
+                                    f
+                                    for f in remaining
+                                    if f not in result.detection_time
+                                ]
                                 at_u.difference_update(detected)
                                 # The state changed: every later
                                 # speculative verdict is stale.  Rewind
@@ -473,7 +478,7 @@ def select_weight_assignments(
                         t_g = guarantee.stimulus(l_g)
                         stats.full_simulations += 1
                         fully_simulated.add(guarantee)
-                        result = sim.run(t_g, sorted(remaining))
+                        result = sim.run(t_g, remaining)
                         if result.detection_time:
                             detected = tuple(sorted(result.detection_time))
                             omega.append(
@@ -493,7 +498,11 @@ def select_weight_assignments(
                                 row=-1,
                                 detected=len(detected),
                             )
-                            remaining.difference_update(detected)
+                            remaining = [
+                                f
+                                for f in remaining
+                                if f not in result.detection_time
+                            ]
                             at_u.difference_update(detected)
                     if at_u:
                         raise ProcedureError(
@@ -514,11 +523,12 @@ def select_weight_assignments(
 
 
 def _fault_sample(
-    target: Fault, remaining: Set[Fault], sample_size: int
+    target: Fault, remaining: List[Fault], sample_size: int
 ) -> List[Fault]:
     """The screening sample: the target fault plus an evenly spaced
-    selection of the other remaining faults (deterministic)."""
-    others = sorted(remaining - {target})
+    selection of the other remaining faults (``remaining`` is sorted,
+    so the selection is deterministic)."""
+    others = [f for f in remaining if f != target]
     if len(others) > sample_size - 1 > 0:
         stride = len(others) / (sample_size - 1)
         others = [others[int(k * stride)] for k in range(sample_size - 1)]

@@ -12,15 +12,13 @@ composes into a fault-tolerant whole:
   worker functions, so results stay bit-identical by construction.
 * :mod:`repro.resilience.chaos` — :class:`ChaosSpec`: deterministic,
   seeded fault injection (worker crash / hang / corrupted payload,
-  cache vandalism) so every recovery path is exercised in tests
-  rather than trusted on faith.
+  cache vandalism, and the serve layer's worker crashes, hangs,
+  stalls and expired leases) so every recovery path is exercised in
+  tests rather than trusted on faith.
 * :mod:`repro.resilience.journal` — :class:`CheckpointJournal`:
-  atomic per-circuit result checkpoints under the cache dir, powering
-  ``repro table6 --resume``.
-* :mod:`repro.resilience.shards` — :class:`ShardedJournal`:
-  per-writer journal shards (one supervisor, N job workers) merged
-  deterministically by record version on restart; chaos can tear
-  individual shard writes to prove the recovery path.
+  atomic key → record journals: per-circuit result checkpoints under
+  the cache dir, powering ``repro table6 --resume``, and the serve
+  queue's one journal.
 * :mod:`repro.resilience.signals` — :func:`handle_termination`:
   SIGINT/SIGTERM → :class:`~repro.errors.SweepInterrupted`, for an
   orderly stop with a valid journal left behind.
@@ -39,7 +37,6 @@ from repro.resilience.journal import (
     flow_journal_key,
 )
 from repro.resilience.policy import RetryPolicy
-from repro.resilience.shards import ShardedJournal
 from repro.resilience.signals import handle_termination
 
 __all__ = [
@@ -49,7 +46,6 @@ __all__ = [
     "CheckpointWarning",
     "JOURNAL_FORMAT",
     "RetryPolicy",
-    "ShardedJournal",
     "chaos_call",
     "flow_journal_key",
     "handle_termination",

@@ -26,11 +26,9 @@ Two families of modes share one spec:
   worker after it computed but before it reported, ``worker_hang``
   stops its heartbeats before the work, ``worker_stall`` stops them
   after the work but before the result is sent, ``kill_claim``
-  SIGKILLs the worker the instant it receives a claim,
+  SIGKILLs the worker the instant it receives a claim, and
   ``lease_expire`` grants an already-expired lease (provoking the
-  stale-result fencing race), and ``journal_tear`` discards one
-  per-worker journal-shard write as if the tmp file had torn before
-  the atomic replace.
+  stale-result fencing race).
 
 Spec syntax (the CLI's ``--chaos``)::
 
@@ -66,7 +64,6 @@ _RATE_FIELDS = (
     "worker_stall",
     "kill_claim",
     "lease_expire",
-    "journal_tear",
 )
 _SERVICE_FIELDS = (
     "worker_crash",
@@ -74,7 +71,6 @@ _SERVICE_FIELDS = (
     "worker_stall",
     "kill_claim",
     "lease_expire",
-    "journal_tear",
 )
 _DIGEST_BITS = 48
 
@@ -114,10 +110,6 @@ class ChaosSpec:
         Probability that the supervisor grants a lease already at its
         deadline, so the job is reclaimed while the original worker is
         still computing and that worker's late result is fenced off.
-    journal_tear:
-        Probability that one per-worker journal-shard write is
-        discarded — as if the temporary file tore before the atomic
-        replace — leaving the shard at its previous state.
     seed:
         Seed for the injection pattern; same seed → same injections.
     hang_s:
@@ -133,7 +125,6 @@ class ChaosSpec:
     worker_stall: float = 0.0
     kill_claim: float = 0.0
     lease_expire: float = 0.0
-    journal_tear: float = 0.0
     seed: int = 0
     hang_s: float = 30.0
 

@@ -159,25 +159,6 @@ class CheckpointJournal:
             if self.tracer is not None:
                 self.tracer.event("checkpoint", key=key)
 
-    def record_many(self, entries: Mapping[str, dict]) -> None:
-        """Checkpoint every ``entries`` item in one atomic rewrite.
-
-        Used by journal-shard compaction on restart: the merged state
-        lands in a single ``os.replace`` so a crash mid-compaction can
-        never leave a half-merged journal.
-        """
-        merged = self._load()
-        if self._entries:
-            merged.update(self._entries)
-        merged.update({k: dict(v) for k, v in entries.items()})
-        self._entries = merged
-        if self._write(merged):
-            if self.stats is not None:
-                self.stats.journal_records += len(entries)
-            if self.tracer is not None:
-                for key in sorted(entries):
-                    self.tracer.event("checkpoint", key=key)
-
     def keys(self) -> List[str]:
         """Checkpointed keys, sorted."""
         if self._entries is None:

@@ -71,8 +71,8 @@ class _Ledger:
 
 #: The ledger of each cache root, shared by every :class:`ArtifactCache`
 #: of this process on that root and dropped with the last of them, so
-#: caches on one root (say, a server's per-budget contexts) see each
-#: other's writes.
+#: caches on one root (say, two runtime contexts of one process) see
+#: each other's writes.
 _LEDGERS: "weakref.WeakValueDictionary[str, _Ledger]" = (
     weakref.WeakValueDictionary()
 )

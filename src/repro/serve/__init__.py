@@ -1,9 +1,11 @@
 """BIST-campaign job service.
 
 Turns the one-shot flows into a long-running service: a durable
-priority queue of campaign jobs, a scheduler dispatching them onto
-pooled runtime contexts, admission control with per-client rate limits
-and load shedding, and a stdlib-only asyncio HTTP API — submit,
+priority queue of campaign jobs with one journal and one dispatch
+order, a scheduler running them on one runtime context (or a
+supervisor leasing them to worker processes, each with its own),
+admission control with per-client rate limits and load shedding, and
+a stdlib-only asyncio HTTP API — submit,
 inspect, cancel, fetch results and normalized traces, ``/healthz``,
 ``/metrics``.  ``repro serve`` boots it; ``repro submit`` / ``repro
 jobs`` and :class:`ServeClient` talk to it.
@@ -39,7 +41,7 @@ from repro.serve.job import (
     Job,
     JobSpec,
 )
-from repro.serve.lease import Lease, LeaseTable, shard_of
+from repro.serve.lease import Lease, LeaseTable
 from repro.serve.metrics import LatencyHistogram, ServeMetrics
 from repro.serve.progress import PROGRESS_KINDS, ProgressBook
 from repro.serve.queue import JobQueue
@@ -49,7 +51,7 @@ from repro.serve.results import (
     optimize_result_payload,
     render_result,
 )
-from repro.serve.scheduler import ContextPool, Scheduler
+from repro.serve.scheduler import Scheduler
 from repro.serve.server import CampaignServer, ServerConfig, ServerThread
 from repro.serve.supervisor import Supervisor
 from repro.serve.worker import JobOutcome, WorkerHandle, execute_job
@@ -59,7 +61,6 @@ __all__ = [
     "AdmissionDecision",
     "CampaignServer",
     "CANCELLED",
-    "ContextPool",
     "DONE",
     "FAILED",
     "Job",
@@ -90,5 +91,4 @@ __all__ = [
     "flow_result_payload",
     "optimize_result_payload",
     "render_result",
-    "shard_of",
 ]

@@ -5,9 +5,9 @@ full Section-4 flow on this circuit with these knobs".  Its identity
 (:meth:`JobSpec.key`) is content-addressed over exactly the fields that
 influence the *result* (circuit, seed, sequence budgets, ``L_G``,
 hardware synthesis), reusing the fingerprint machinery of
-:mod:`repro.runtime.keys`; priority, client and execution budgets are
-deliberately excluded so two clients asking for the same computation
-share one job and one result.
+:mod:`repro.runtime.keys`; priority and client are deliberately
+excluded so two clients asking for the same computation share one job
+and one result.
 
 A :class:`Job` is a spec the server has accepted: it carries the queue
 sequence number (the FIFO tiebreak inside a priority tier), the
@@ -25,7 +25,7 @@ told so and may resubmit).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
 
 from repro.errors import ServeError
@@ -56,6 +56,15 @@ TERMINAL_STATES = frozenset({DONE, FAILED, CANCELLED, SHED})
 
 _KEY_BYTES = 16
 
+_FIELD_TYPES = {"str": str, "int": int, "bool": bool}
+"""The type each :class:`JobSpec` field annotation names."""
+
+_RETIRED_FIELDS = frozenset({"jobs", "task_timeout", "retries"})
+"""Fields of the retired per-job execution budget.  Journals and
+clients from before its removal still send them, so
+:meth:`JobSpec.from_dict` drops them and every acknowledged job
+restores."""
+
 
 @dataclass(frozen=True)
 class JobSpec:
@@ -84,7 +93,7 @@ class JobSpec:
         job's never does, since a search does not read the flag.
     sim_backend:
         Fault-simulation backend (``"auto"``/``"python"``/``"vector"``).
-        Backends are bit-identical, so — like the execution budget — it
+        Backends are bit-identical, so — like priority and client — it
         is *excluded* from :meth:`result_fields` and the job key: two
         clients demanding the same computation share one result no
         matter which engine computes it.
@@ -93,12 +102,10 @@ class JobSpec:
     client:
         Submitting client's identity (rate limiting and fair-share are
         per client).
-    jobs / task_timeout / retries:
-        Per-job execution budget of the runtime context the job runs
-        under: worker processes, per-task timeout and retry budget.  A
-        job is one flow or one search, which runs in one process
-        whatever ``jobs`` says.  Budgets never influence results, only
-        how they are obtained.
+
+    A job is one flow or one search, which runs in one process.  Every
+    field must have exactly its annotated type (an ``int`` field takes
+    no ``bool``), or the spec is refused with :class:`ServeError`.
     """
 
     circuit: str
@@ -115,12 +122,17 @@ class JobSpec:
     generations: int = 2
     priority: int = DEFAULT_PRIORITY
     client: str = "anonymous"
-    jobs: int = 1
-    task_timeout: Optional[float] = None
-    retries: int = 2
 
     def __post_init__(self) -> None:
-        if not self.circuit or not isinstance(self.circuit, str):
+        for spec_field in fields(self):
+            value = getattr(self, spec_field.name)
+            expected = _FIELD_TYPES[str(spec_field.type)]
+            if type(value) is not expected:
+                raise ServeError(
+                    f"job spec field {spec_field.name} must be "
+                    f"{expected.__name__}, got {value!r}"
+                )
+        if not self.circuit:
             raise ServeError("job spec needs a circuit name")
         if self.task not in TASKS:
             raise ServeError(
@@ -153,12 +165,6 @@ class JobSpec:
                 raise ServeError(f"{name} must be positive")
         if self.compaction_sims < 0:
             raise ServeError("compaction_sims must be >= 0")
-        if self.jobs < 1:
-            raise ServeError("jobs must be >= 1")
-        if self.retries < 0:
-            raise ServeError("retries must be >= 0")
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise ServeError("task_timeout must be positive")
         if not self.client:
             raise ServeError("client must be non-empty")
 
@@ -195,8 +201,8 @@ class JobSpec:
         """Content-addressed job identity.
 
         Two specs demanding the same computation — whatever their
-        priority, client or execution budget — share one key, one
-        queue slot and one result.
+        priority or client — share one key, one queue slot and one
+        result.
         """
         return config_fingerprint(self.result_fields())[: 2 * _KEY_BYTES]
 
@@ -231,10 +237,6 @@ class JobSpec:
             sim_backend=self.sim_backend,
         )
 
-    def budget(self) -> Tuple[int, Optional[float], int]:
-        """The execution-budget triple (contexts are pooled by it)."""
-        return (self.jobs, self.task_timeout, self.retries)
-
     # -- wire format --------------------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:
@@ -247,18 +249,21 @@ class JobSpec:
 
         Raises :class:`ServeError` on anything malformed — unknown
         fields, wrong types, out-of-range values — so the HTTP layer
-        can turn every bad submission into a clean 400.
+        can turn every bad submission into a clean 400.  The retired
+        execution-budget fields are dropped, not refused.
         """
         if not isinstance(payload, Mapping):
             raise ServeError(f"job spec is not an object: {payload!r}")
-        known = {f: None for f in cls.__dataclass_fields__}
-        unknown = sorted(set(payload) - set(known))
+        values = {
+            k: v for k, v in payload.items() if k not in _RETIRED_FIELDS
+        }
+        unknown = sorted(set(values) - set(cls.__dataclass_fields__))
         if unknown:
             raise ServeError(
                 f"unknown job spec field(s): {', '.join(unknown)}"
             )
         try:
-            return cls(**dict(payload))  # type: ignore[arg-type]
+            return cls(**values)  # type: ignore[arg-type]
         except TypeError as exc:
             raise ServeError(f"malformed job spec: {exc}") from exc
 
@@ -270,8 +275,7 @@ class Job:
     ``owner``/``lease_token`` identify the worker currently leasing a
     running job (None for queued/terminal jobs or the in-process
     scheduler's unleased claims); ``version`` increments on *every*
-    state transition and orders records when per-worker journal shards
-    are merged after a crash.
+    state transition.
     """
 
     spec: JobSpec

@@ -1,4 +1,4 @@
-"""Leased job ownership: fencing tokens, deadlines, shard placement.
+"""Leased job ownership: fencing tokens and deadlines.
 
 A claim in the multi-worker service is a **lease**: the queue grants a
 worker bounded ownership of one job, stamped with a *monotonic fencing
@@ -21,11 +21,6 @@ token* and a deadline.  The token is the whole correctness story:
 Deadlines use the injected monotonic clock and live only in memory —
 a restart clears every lease anyway (``running`` jobs are demoted),
 so persisting wall-clock deadlines would only invite clock-skew bugs.
-
-:func:`shard_of` maps a job key onto one of N worker shards (stable
-content hash, no RNG); the queue prefers shard-local claims and lets
-idle workers *steal* across shards so a skewed hash never idles a
-worker while work waits.
 """
 
 from __future__ import annotations
@@ -33,18 +28,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
-
-
-def shard_of(key: str, total: int) -> int:
-    """The home shard of job ``key`` among ``total`` shards.
-
-    A pure function of the content-addressed key (its leading hex
-    digits), so placement is stable across restarts and identical on
-    every host.
-    """
-    if total <= 1:
-        return 0
-    return int(key[:8], 16) % total
 
 
 @dataclass
@@ -57,8 +40,6 @@ class Lease:
     ttl_s: Optional[float]
     #: Monotonic-clock deadline; None = never expires (inline scheduler).
     deadline: Optional[float]
-    #: True when the claim crossed shards (work stealing).
-    stolen: bool = False
 
     def expired(self, now: float) -> bool:
         return self.deadline is not None and now >= self.deadline
@@ -81,13 +62,7 @@ class LeaseTable:
         if token >= self._next_token:
             self._next_token = token + 1
 
-    def grant(
-        self,
-        key: str,
-        owner: str,
-        ttl_s: Optional[float],
-        stolen: bool = False,
-    ) -> Lease:
+    def grant(self, key: str, owner: str, ttl_s: Optional[float]) -> Lease:
         """Grant ``owner`` a fresh lease on ``key`` (next fencing token).
 
         ``ttl_s`` of None means no deadline (the in-process scheduler,
@@ -104,7 +79,6 @@ class LeaseTable:
             token=token,
             ttl_s=ttl_s,
             deadline=deadline,
-            stolen=stolen,
         )
         self._leases[key] = lease
         return lease

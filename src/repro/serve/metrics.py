@@ -6,62 +6,51 @@ What ``GET /metrics`` serves.  Three ingredients:
   completions, failures, shed/cancelled jobs),
 * latency histograms — queue wait, run time, and the end-to-end
   submit→complete latency — with p50/p90/p99 read-outs, and
-* a snapshot of the aggregated
-  :class:`~repro.runtime.metrics.RuntimeStats` across the scheduler's
-  runtime contexts plus the live queue depth, merged in by the server.
+* a snapshot of the :class:`~repro.runtime.metrics.RuntimeStats` of
+  the scheduler's runtime context (a supervisor's: summed over its
+  workers' reports) plus the live queue depth, merged in by the
+  server.
 
-Histograms use fixed exponential bucket bounds, so two servers'
-metrics are mergeable and the render is stable.  All clocks are
-monotonic durations; nothing here feeds a result.
+Latencies keep every observation (one float per finished job of a
+server life), so percentiles are exact nearest-rank values.  All
+clocks are monotonic durations; nothing here feeds a result.
 """
 
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left
-from typing import Dict, List, Optional, Tuple
-
-#: Histogram bucket upper bounds, seconds (exponential, 1 ms … ~137 s).
-_BOUNDS: Tuple[float, ...] = tuple(0.001 * (2.0**i) for i in range(18))
+from bisect import insort
+from typing import Dict, List, Optional
 
 
 class LatencyHistogram:
-    """Fixed-bucket latency histogram with percentile read-outs."""
+    """Latency observations with exact percentile read-outs."""
 
     def __init__(self) -> None:
-        self._counts: List[int] = [0] * (len(_BOUNDS) + 1)
-        self._total = 0
-        self._sum_s = 0.0
+        self._sorted: List[float] = []
 
     def observe(self, seconds: float) -> None:
-        self._counts[bisect_left(_BOUNDS, seconds)] += 1
-        self._total += 1
-        self._sum_s += seconds
+        insort(self._sorted, seconds)
 
     @property
     def count(self) -> int:
-        return self._total
+        return len(self._sorted)
 
     @property
     def mean_s(self) -> float:
-        return self._sum_s / self._total if self._total else 0.0
+        return sum(self._sorted) / len(self._sorted) if self._sorted else 0.0
 
     def percentile(self, p: float) -> float:
-        """The upper bound of the bucket holding the ``p``-quantile
-        observation (0.0 on an empty histogram)."""
-        if not self._total:
+        """The nearest-rank ``p``-quantile observation (0.0 on an empty
+        histogram)."""
+        if not self._sorted:
             return 0.0
-        rank = max(1, int(p * self._total + 0.999999))
-        seen = 0
-        for i, count in enumerate(self._counts):
-            seen += count
-            if seen >= rank:
-                return _BOUNDS[i] if i < len(_BOUNDS) else float("inf")
-        return float("inf")  # pragma: no cover - unreachable
+        rank = max(1, int(p * len(self._sorted) + 0.999999))
+        return self._sorted[min(rank, len(self._sorted)) - 1]
 
     def to_dict(self) -> Dict[str, object]:
         return {
-            "count": self._total,
+            "count": self.count,
             "mean_s": round(self.mean_s, 6),
             "p50_s": self.percentile(0.50),
             "p90_s": self.percentile(0.90),
@@ -85,12 +74,10 @@ class ServeMetrics:
         "requeued",
         # Multi-worker service counters (zero under the in-process
         # scheduler): restarts of crashed/hung workers, leases the
-        # expiry sweep reclaimed, cross-shard work steals, results a
-        # stale fencing token kept out of the store, and worker slots
-        # retired for flapping.
+        # expiry sweep reclaimed, results a stale fencing token kept
+        # out of the store, and worker slots retired for flapping.
         "worker_restarts",
         "lease_expiries",
-        "steals",
         "stale_results_rejected",
         "workers_degraded",
     )

@@ -21,22 +21,19 @@ already proves:
   and its completed stages sit in the artifact cache, so the rerun is
   cheap and byte-identical); terminal jobs stay terminal.
 
-Multi-worker service mode adds two layers on top:
+Multi-worker service mode adds **leases** (:mod:`repro.serve.lease`)
+on top.  :meth:`claim` grants the claiming worker a journaled lease —
+monotonic fencing token plus deadline — instead of bare ownership,
+and picks the job exactly as :meth:`claim_next` does.  :meth:`finish`
+and :meth:`requeue` are token-fenced: a worker whose lease expired (or
+whose job the supervisor already reclaimed) presents a stale token and
+is rejected, so no result is ever double-applied and no job is
+double-demoted.  The token floor is restored past the journal's
+high-water mark on restart, so fencing survives server lives.
 
-* **Leases** (:mod:`repro.serve.lease`).  :meth:`claim` grants the
-  claiming worker a journaled lease — monotonic fencing token plus
-  deadline — instead of bare ownership.  :meth:`finish` and
-  :meth:`requeue` are token-fenced: a worker whose lease expired (or
-  whose job the supervisor already reclaimed) presents a stale token
-  and is rejected, so no result is ever double-applied and no job is
-  double-demoted.  The token floor is restored past the journal's
-  high-water mark on restart, so fencing survives server lives.
-* **Journal shards** (:mod:`repro.resilience.shards`).  Transitions of
-  a leased job are journaled into its owner's shard (single writer per
-  file); submits, demotions and unleased transitions go to the main
-  journal.  A restart merges main + shards deterministically by record
-  ``version``, compacts the merge back into the main journal in one
-  atomic rewrite, and clears the shards.
+Every transition, leased or not, is written to the one journal by the
+process that owns the queue, under the queue lock; workers never
+write it.
 
 All public methods are thread-safe — the HTTP loop submits and
 cancels while scheduler/supervisor threads claim and finish.
@@ -52,7 +49,6 @@ from pathlib import Path
 
 from repro.resilience.chaos import ChaosSpec
 from repro.resilience.journal import CheckpointJournal
-from repro.resilience.shards import ShardedJournal
 from repro.runtime.metrics import RuntimeStats
 from repro.trace.span import Tracer
 from repro.serve.job import (
@@ -65,7 +61,7 @@ from repro.serve.job import (
     Job,
     JobSpec,
 )
-from repro.serve.lease import Lease, LeaseTable, shard_of
+from repro.serve.lease import Lease, LeaseTable
 
 
 class JobQueue:
@@ -74,20 +70,15 @@ class JobQueue:
     Parameters
     ----------
     journal_path:
-        The main queue journal file (atomic whole-file rewrites).  Pass
-        the same path to a restarted server to resume the queue.
+        The queue journal file (atomic whole-file rewrites).  Pass the
+        same path to a restarted server to resume the queue.
     stats / tracer:
         Optional :class:`~repro.runtime.metrics.RuntimeStats` /
         :class:`~repro.trace.span.Tracer` forwarded to the journal so
         checkpoint writes are counted and traced like every other.
-    shard_root:
-        Directory for per-worker journal shards.  None (the default)
-        keeps the single-journal behaviour of the in-process scheduler;
-        a restarted queue still merges any shards it finds there.
     chaos:
         Optional :class:`~repro.resilience.chaos.ChaosSpec`; its
-        ``lease_expire`` mode grants already-expired leases and its
-        ``journal_tear`` mode drops individual shard writes.
+        ``lease_expire`` mode grants already-expired leases.
     clock:
         Monotonic clock for lease deadlines (injectable for tests).
     """
@@ -97,19 +88,11 @@ class JobQueue:
         journal_path: Union[str, Path],
         stats: Optional[RuntimeStats] = None,
         tracer: Optional[Tracer] = None,
-        shard_root: Optional[Union[str, Path]] = None,
         chaos: Optional[ChaosSpec] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self._journal = CheckpointJournal(
             journal_path, stats=stats, tracer=tracer
-        )
-        self.shards: Optional[ShardedJournal] = (
-            None
-            if shard_root is None
-            else ShardedJournal(
-                shard_root, stats=stats, tracer=tracer, chaos=chaos
-            )
         )
         self._chaos = chaos
         self.leases = LeaseTable(clock=clock)
@@ -126,35 +109,12 @@ class JobQueue:
 
     # -- persistence --------------------------------------------------------
 
-    def _merged_records(self) -> Dict[str, dict]:
-        """Main journal + shards, per key the highest-version record.
-
-        Ties between the main journal and a shard go to the shard: the
-        main journal holds the *compacted* state of an earlier life,
-        so an equal-version shard record is the same transition or a
-        later one — never an older one.
-        """
-        best: Dict[str, Tuple[int, int, dict]] = {}
+    def _restore(self) -> None:
+        """Load the journal; demote ``running`` jobs to ``queued``."""
         for key in self._journal.keys():
             payload = self._journal.get(key)
-            if payload is not None:
-                best[key] = (_record_version(payload), 0, payload)
-        if self.shards is not None:
-            for key, payload in sorted(self.shards.merged().items()):
-                rank = (_record_version(payload), 1)
-                current = best.get(key)
-                if current is None or rank > (current[0], current[1]):
-                    best[key] = (rank[0], rank[1], payload)
-        return {key: payload for key, (_, _, payload) in best.items()}
-
-    def _restore(self) -> None:
-        """Merge journal + shards; demote ``running`` jobs to ``queued``.
-
-        When shards are in play the merged state is compacted back into
-        the main journal in one atomic rewrite and the shards cleared,
-        so the next restart starts from a single consistent file.
-        """
-        for key, payload in sorted(self._merged_records().items()):
+            if payload is None:
+                continue
             try:
                 job = Job.from_dict(payload)
             except Exception:
@@ -169,22 +129,12 @@ class JobQueue:
                 job.owner = None
                 job.lease_token = None
                 job.version += 1
-                if self.shards is None:
-                    self._journal.record(key, job.to_dict())
+                self._checkpoint(job)
             self._jobs[key] = job
             self._next_seq = max(self._next_seq, job.seq + 1)
-        if self.shards is not None:
-            self._journal.record_many(
-                {key: job.to_dict() for key, job in sorted(self._jobs.items())}
-            )
-            self.shards.clear()
 
     def _checkpoint(self, job: Job) -> None:
-        """Journal ``job`` — into its owner's shard when it has one."""
-        if self.shards is not None and job.owner is not None:
-            self.shards.record(job.owner, job.key, job.to_dict())
-        else:
-            self._journal.record(job.key, job.to_dict())
+        self._journal.record(job.key, job.to_dict())
 
     # -- submission ---------------------------------------------------------
 
@@ -225,15 +175,18 @@ class JobQueue:
     def _queued_jobs(self) -> List[Job]:
         return [j for j in self._jobs.values() if j.state == QUEUED]
 
-    def _select(self, pool: List[Job]) -> Job:
-        """Pick (and account) the next job from a non-empty pool.
+    def _select(self) -> Optional[Job]:
+        """Pick (and account) the next queued job; None when none is.
 
         Order: highest priority tier first; inside the tier, the
         *client served longest ago* goes first (fair share — one chatty
         client cannot starve the others), and FIFO within a client.
         """
-        top = max(j.spec.priority for j in pool)
-        tier = [j for j in pool if j.spec.priority == top]
+        queued = self._queued_jobs()
+        if not queued:
+            return None
+        top = max(j.spec.priority for j in queued)
+        tier = [j for j in queued if j.spec.priority == top]
         job = min(
             tier,
             key=lambda j: (self._last_served.get(j.spec.client, -1), j.seq),
@@ -250,10 +203,9 @@ class JobQueue:
         a deadline would only expire work that is still progressing.
         """
         with self._lock:
-            queued = self._queued_jobs()
-            if not queued:
+            job = self._select()
+            if job is None:
                 return None
-            job = self._select(queued)
             job.state = RUNNING
             job.attempts += 1
             job.version += 1
@@ -261,48 +213,25 @@ class JobQueue:
             return job
 
     def claim(
-        self,
-        owner: str,
-        ttl_s: Optional[float],
-        shard: Optional[int] = None,
-        total_shards: int = 1,
-        steal: bool = True,
+        self, owner: str, ttl_s: Optional[float]
     ) -> Optional[Tuple[Job, Lease]]:
         """Claim the next job under a lease for worker ``owner``.
 
-        ``shard``/``total_shards`` steer the claim to the worker's home
-        shard (:func:`~repro.serve.lease.shard_of` placement); when the
-        home shard is empty and ``steal`` is set, the claim crosses
-        shards rather than idling (the returned lease is marked
-        ``stolen``).  Chaos's ``lease_expire`` mode replaces the ttl
-        with zero, granting a lease that is already past its deadline.
+        The job is the one :meth:`claim_next` would pick.  Chaos's
+        ``lease_expire`` mode replaces the ttl with zero, granting a
+        lease that is already past its deadline.
         """
         with self._lock:
-            queued = self._queued_jobs()
-            if not queued:
+            job = self._select()
+            if job is None:
                 return None
-            if shard is None:
-                pool, stolen = queued, False
-            else:
-                local = [
-                    j
-                    for j in queued
-                    if shard_of(j.key, total_shards) == shard
-                ]
-                if local:
-                    pool, stolen = local, False
-                elif steal:
-                    pool, stolen = queued, True
-                else:
-                    return None
-            job = self._select(pool)
             attempt = job.attempts + 1
             ttl = ttl_s
             if self._chaos is not None and self._chaos.decide(
                 "lease_expire", job.key, owner, attempt
             ):
                 ttl = 0.0
-            lease = self.leases.grant(job.key, owner, ttl, stolen=stolen)
+            lease = self.leases.grant(job.key, owner, ttl)
             job.state = RUNNING
             job.attempts = attempt
             job.owner = owner
@@ -486,10 +415,3 @@ class JobQueue:
 
     def __repr__(self) -> str:
         return f"JobQueue({self._journal.path}, {len(self)} jobs)"
-
-
-def _record_version(payload: dict) -> int:
-    try:
-        return int(payload.get("version", 0))
-    except (TypeError, ValueError):
-        return 0

@@ -1,20 +1,17 @@
-"""Job scheduler: claims queued jobs and runs them on pooled runtimes.
+"""Job scheduler: claims queued jobs and runs them on one runtime.
 
 One scheduler thread drains the queue in dispatch order (the queue
 itself encodes priority, FIFO and client fair-share) and runs each job
 through :func:`~repro.flows.full_flow.run_full_flow`.
 
-**Context pooling.**  Jobs carry an execution budget — worker
-processes, per-task timeout, retry budget — and a
-:class:`~repro.runtime.context.RuntimeContext` is expensive to build
-(it owns a process pool).  The scheduler therefore keeps one context
-per distinct budget and *reuses* it across jobs:
+**One context.**  A job is one flow (or one search), which runs in the
+scheduler's process, so every job runs on the same
+:class:`~repro.runtime.context.RuntimeContext`:
 :meth:`RuntimeContext.reset_stats` zeroes the counters in place between
-jobs (the pool stays warm), and
-:meth:`RuntimeContext.attach_tracer` swaps in a per-job tracer, so each
-job still gets cleanly separated stats and its own span tree.  Results
-are bit-identical to a fresh context by the runtime layer's standing
-guarantee.
+jobs, and :meth:`RuntimeContext.attach_tracer` swaps in a per-job
+tracer, so each job still gets cleanly separated stats and its own
+span tree.  Results are bit-identical to a fresh context by the
+runtime layer's standing guarantee.
 
 **Per-job tracing.**  Every job runs inside a ``job`` span on its own
 tracer; the normalized projection is persisted next to the result and
@@ -28,7 +25,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.runtime.context import RuntimeContext
 from repro.runtime.metrics import RuntimeStats
@@ -41,68 +38,13 @@ from repro.serve.worker import execute_job
 from repro.trace.events import TraceEvent
 from repro.trace.span import Tracer
 
-Budget = Tuple[int, Optional[float], int]
-
-
-class ContextPool:
-    """One long-lived :class:`RuntimeContext` per execution budget."""
-
-    def __init__(
-        self,
-        cache_dir: Optional[str],
-        enable_cache: bool,
-        chaos: Optional[str] = None,
-    ) -> None:
-        self.cache_dir = cache_dir
-        self.enable_cache = enable_cache
-        self.chaos = chaos
-        self._contexts: Dict[Budget, RuntimeContext] = {}
-        self._lock = threading.Lock()
-
-    def acquire(self, budget: Budget) -> RuntimeContext:
-        """The pooled context for ``budget`` (built on first use)."""
-        with self._lock:
-            runtime = self._contexts.get(budget)
-            if runtime is None:
-                jobs, task_timeout, retries = budget
-                runtime = RuntimeContext(
-                    jobs=jobs,
-                    cache_dir=self.cache_dir,
-                    enable_cache=self.enable_cache,
-                    task_timeout=task_timeout,
-                    retries=retries,
-                    chaos=self.chaos,
-                )
-                self._contexts[budget] = runtime
-            return runtime
-
-    def aggregate_stats(self) -> RuntimeStats:
-        """Sum of every pooled context's *current* counters (the
-        `/metrics` runtime section)."""
-        total = RuntimeStats()
-        with self._lock:
-            contexts = list(self._contexts.values())
-        for runtime in contexts:
-            snap = runtime.stats.snapshot()
-            for name, value in snap.items():
-                setattr(total, name, getattr(total, name) + value)
-            total.jobs = max(total.jobs, runtime.jobs)
-        return total
-
-    def close(self) -> None:
-        with self._lock:
-            contexts = list(self._contexts.values())
-            self._contexts.clear()
-        for runtime in contexts:
-            runtime.close()
-
 
 class Scheduler:
     """The dispatch loop, on its own daemon thread.
 
     Parameters
     ----------
-    queue / results / metrics / contexts:
+    queue / results / metrics:
         The server's shared components.
     server_tracer:
         Optional tracer owned by the server; job lifecycle events fire
@@ -113,6 +55,9 @@ class Scheduler:
         deterministic tracer events are posted to it live.
     poll_s:
         Idle sleep between queue polls.
+    cache_dir / enable_cache / chaos_text:
+        Configure the runtime context every job runs on
+        (:attr:`runtime`, closed by :meth:`stop`).
     """
 
     def __init__(
@@ -120,15 +65,20 @@ class Scheduler:
         queue: JobQueue,
         results: ResultStore,
         metrics: ServeMetrics,
-        contexts: ContextPool,
         server_tracer: Optional[Tracer] = None,
         progress: Optional[ProgressBook] = None,
         poll_s: float = 0.05,
+        *,
+        cache_dir: Optional[str] = None,
+        enable_cache: bool = True,
+        chaos_text: Optional[str] = None,
     ) -> None:
         self.queue = queue
         self.results = results
         self.metrics = metrics
-        self.contexts = contexts
+        self.runtime = RuntimeContext(
+            cache_dir=cache_dir, enable_cache=enable_cache, chaos=chaos_text
+        )
         self.server_tracer = server_tracer
         self.progress = progress
         self.poll_s = poll_s
@@ -151,14 +101,18 @@ class Scheduler:
     def stop(self, timeout_s: Optional[float] = None) -> bool:
         """Ask the loop to stop after the in-flight job and join it.
 
-        Returns True when the thread exited within ``timeout_s``.  The
-        in-flight job is *finished, not abandoned* — its result and
-        checkpoint land before the thread exits, which is what makes
-        SIGTERM drain lossless.
+        Returns True when the thread exited within ``timeout_s``; the
+        runtime context is closed then.  The in-flight job is
+        *finished, not abandoned* — its result and checkpoint land
+        before the thread exits, which is what makes SIGTERM drain
+        lossless.
         """
         self._stop.set()
         self._thread.join(timeout_s)
-        return not self._thread.is_alive()
+        if self._thread.is_alive():
+            return False
+        self.runtime.close()
+        return True
 
     @property
     def idle(self) -> bool:
@@ -206,8 +160,7 @@ class Scheduler:
                 live.post(key, event.kind, event.attrs)
 
             tap = _tap
-        runtime = self.contexts.acquire(job.spec.budget())
-        outcome = execute_job(job.spec, runtime, progress=tap)
+        outcome = execute_job(job.spec, self.runtime, progress=tap)
         if not outcome.ok:
             self.queue.finish(key, ok=False, error=outcome.error)
             self.metrics.count("failed")
@@ -247,7 +200,6 @@ class Scheduler:
         return [
             {
                 "name": "scheduler",
-                "shard": 0,
                 "alive": self._thread.is_alive(),
                 "busy": self._current_key,
                 "restarts": 0,
@@ -256,8 +208,9 @@ class Scheduler:
         ]
 
     def runtime_stats_snapshot(self) -> RuntimeStats:
-        """Aggregated runtime counters (the `/metrics` runtime section)."""
-        return self.contexts.aggregate_stats()
+        """The runtime counters of the running or last job (the
+        `/metrics` runtime section)."""
+        return self.runtime.stats
 
     def set_inherited_fds(self, fds: Sequence[int]) -> None:
         """No-op: the in-process scheduler forks no workers."""

@@ -53,7 +53,7 @@ from repro.serve.metrics import ServeMetrics
 from repro.serve.progress import MAX_WAIT_S, ProgressBook
 from repro.serve.queue import JobQueue
 from repro.serve.results import ResultStore
-from repro.serve.scheduler import ContextPool, Scheduler
+from repro.serve.scheduler import Scheduler
 from repro.serve.supervisor import (
     DEFAULT_HEARTBEAT_TIMEOUT_S,
     DEFAULT_LEASE_TTL_S,
@@ -115,9 +115,6 @@ class CampaignServer:
         self.queue = JobQueue(
             state / "queue" / "journal.json",
             tracer=self.tracer,
-            # Always hand the queue its shard root: a single-worker
-            # restart still merges shards a multi-worker life left.
-            shard_root=state / "queue" / "shards",
             chaos=service_chaos,
         )
         self.results = ResultStore(state / "results")
@@ -125,11 +122,6 @@ class CampaignServer:
             Path(config.cache_dir)
             if config.cache_dir is not None
             else state / "cache"
-        )
-        self.contexts = ContextPool(
-            cache_dir=str(cache_dir),
-            enable_cache=config.enable_cache,
-            chaos=config.chaos,
         )
         self.admission = AdmissionController(
             queue_capacity=config.queue_capacity,
@@ -157,9 +149,11 @@ class CampaignServer:
                 self.queue,
                 self.results,
                 self.metrics,
-                self.contexts,
                 server_tracer=self.tracer,
                 progress=self.progress,
+                cache_dir=str(cache_dir),
+                enable_cache=config.enable_cache,
+                chaos_text=config.chaos,
             )
         requeued = len(self.queue.running()) + self.queue.depth()
         if requeued:
@@ -386,8 +380,6 @@ class CampaignServer:
             "active_leases": len(self.queue.leases),
             "stale_finishes": self.queue.stale_finishes,
         }
-        if self.queue.shards is not None:
-            payload["queue"]["journal_tears"] = self.queue.shards.tears
         payload["runtime"] = runtime.snapshot()
         payload["runtime"]["jobs"] = runtime.jobs
         return HttpResponse.json(200, payload)
@@ -487,7 +479,7 @@ class CampaignServer:
                 pass  # loop already closed: the drain has happened
 
     async def _drain(self) -> None:
-        """Finish the in-flight job, persist the trace, release pools."""
+        """Finish the in-flight job, then persist the trace."""
         self.admission.start_draining()
         stopped = await asyncio.to_thread(
             self.scheduler.stop, self.config.drain_grace_s
@@ -498,7 +490,6 @@ class CampaignServer:
             # is deterministic, so nothing is lost either way.
             pass
         self._export_trace()
-        self.contexts.close()
 
     def _export_trace(self) -> None:
         if self.tracer is None or self.config.trace_path is None:

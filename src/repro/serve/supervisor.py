@@ -4,7 +4,7 @@ With ``repro serve --workers N`` (N ≥ 2) the server swaps its
 in-process :class:`~repro.serve.scheduler.Scheduler` for a
 ``Supervisor``: N forked worker processes execute jobs while one
 supervisor thread owns every shared mutable thing — the queue, the
-lease table, the journals and the result store.  Workers only compute;
+lease table, the journal and the result store.  Workers only compute;
 their sole authority is the fencing token they echo with each result.
 That asymmetry is what makes every failure mode below recoverable:
 
@@ -23,10 +23,9 @@ That asymmetry is what makes every failure mode below recoverable:
   than restarted forever.  The fleet never degrades below one worker,
   so a campaign always converges.
 
-Dispatch prefers each worker's home shard
-(:func:`~repro.serve.lease.shard_of` over the job key) and lets idle
-workers **steal** across shards, so a skewed key distribution
-rebalances instead of idling the fleet.
+Each idle worker is leased the job the queue's dispatch order puts
+next (:meth:`~repro.serve.queue.JobQueue.claim`), the same order the
+in-process scheduler drains, whatever the fleet size.
 
 Results land exactly as the in-process scheduler lands them — same
 :func:`~repro.serve.worker.execute_job`, same canonical bytes — so a
@@ -63,9 +62,7 @@ class Supervisor:
     Parameters
     ----------
     queue / results / metrics:
-        The server's shared components (the queue must have been built
-        with a shard root; workers' transitions journal into their
-        owner shards).
+        The server's shared components.
     workers:
         Fleet size (≥ 2; one worker wants the plain scheduler).
     lease_ttl_s:
@@ -79,7 +76,7 @@ class Supervisor:
         before the slot is degraded, and the base of the exponential
         respawn backoff.
     cache_dir / enable_cache / chaos_text:
-        Forwarded to each worker's runtime contexts; ``chaos_text``
+        Forwarded to each worker's runtime context; ``chaos_text``
         also arms the service-level injection modes inside workers.
     clock:
         Injectable monotonic clock (tests).
@@ -118,11 +115,9 @@ class Supervisor:
         self.restart_backoff_s = restart_backoff_s
         self.poll_s = poll_s
         self.clock = clock
-        self.total_shards = workers
         self._handles: List[WorkerHandle] = [
             WorkerHandle(
                 name=f"w{i}",
-                shard=i,
                 cache_dir=cache_dir,
                 enable_cache=enable_cache,
                 chaos_text=chaos_text,
@@ -263,18 +258,10 @@ class Supervisor:
         for handle in self._fleet():
             if not handle.alive() or handle.busy is not None:
                 continue
-            claimed = self.queue.claim(
-                owner=handle.name,
-                ttl_s=self.lease_ttl_s,
-                shard=handle.shard,
-                total_shards=self.total_shards,
-                steal=True,
-            )
+            claimed = self.queue.claim(handle.name, self.lease_ttl_s)
             if claimed is None:
-                break  # queue empty (steal=True saw every shard)
+                break  # queue empty
             job, lease = claimed
-            if lease.stolen:
-                self.metrics.count("steals")
             if not handle.assign(
                 job.key, lease.token, job.attempts, job.spec.to_dict()
             ):
@@ -286,7 +273,7 @@ class Supervisor:
             self._server_event(
                 "job_running", key=job.key, circuit=job.spec.circuit,
                 priority=job.spec.priority, attempt=job.attempts,
-                worker=handle.name, stolen=lease.stolen,
+                worker=handle.name,
             )
             if self.progress is not None:
                 self.progress.post(

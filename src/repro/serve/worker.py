@@ -9,9 +9,9 @@ Three pieces live here:
   whichever execution mode computed them.
 * :func:`_worker_main` — the entry point of a supervised worker
   process.  A worker receives claims over a pipe, runs them on its own
-  pooled runtime contexts, heartbeats from a background thread, and
-  reports results *with its fencing token* back to the supervisor.  It
-  never touches the queue, the journals or the result store: a worker
+  runtime context, heartbeats from a background thread, and reports
+  results *with its fencing token* back to the supervisor.  It never
+  touches the queue, the journal or the result store: a worker
   orphaned by a SIGKILLed server is harmless by construction and exits
   on the broken pipe.  Workers ignore SIGTERM/SIGINT — recovery of an
   in-flight claim is the **supervisor's** job (token-fenced requeue),
@@ -36,19 +36,12 @@ import signal
 import threading
 import time
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.flows.full_flow import run_full_flow
 from repro.resilience.chaos import ChaosSpec
+from repro.runtime.context import RuntimeContext
 from repro.serve.job import JobSpec
 from repro.serve.progress import PROGRESS_KINDS
 from repro.serve.results import flow_result_payload, optimize_result_payload
@@ -56,9 +49,6 @@ from repro.trace.compare import phase_durations
 from repro.trace.events import TraceEvent
 from repro.trace.normalize import normalized_json
 from repro.trace.span import Tracer
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.context import RuntimeContext
 
 #: Stats counters worth echoing onto the finished job record.
 _JOB_STAT_KEYS = (
@@ -87,14 +77,14 @@ class JobOutcome:
 
 def execute_job(
     spec: JobSpec,
-    runtime: "RuntimeContext",
+    runtime: RuntimeContext,
     progress: Optional[Callable[[TraceEvent], None]] = None,
 ) -> JobOutcome:
     """Run one job on ``runtime``; never raises for flow errors.
 
     The context is *reused*: stats are reset in place and a fresh
-    per-job tracer attached, so the pool (and its warm workers) carries
-    over while counters and spans do not.  Results are bit-identical
+    per-job tracer attached, so its cache handle carries over while
+    counters and spans do not.  Results are bit-identical
     to a fresh context by the runtime layer's standing guarantee.
 
     ``progress`` is an optional live tap: it is called with every
@@ -247,11 +237,11 @@ def _worker_main(
             os.close(fd)
         except OSError:
             pass
-    from repro.serve.scheduler import ContextPool
-
     chaos = ChaosSpec.parse(chaos_text) if chaos_text else None
     service_chaos = chaos if chaos is not None and chaos.affects_service else None
-    pool = ContextPool(cache_dir, enable_cache, chaos=chaos_text)
+    runtime = RuntimeContext(
+        cache_dir=cache_dir, enable_cache=enable_cache, chaos=chaos
+    )
     send_lock = threading.Lock()
     pump = _HeartbeatPump(conn, send_lock, heartbeat_s)
     pump.start()
@@ -277,7 +267,6 @@ def _worker_main(
             ):
                 pump.pause()
                 time.sleep(service_chaos.hang_s)
-            runtime = pool.acquire(spec.budget())
 
             def _progress(event: TraceEvent) -> None:
                 # Best-effort: progress lost on a dying pipe is fine;
@@ -328,7 +317,7 @@ def _worker_main(
             pump.resume()
     finally:
         pump.stop()
-        pool.close()
+        runtime.close()
         try:
             conn.close()
         except OSError:  # pragma: no cover - already closed
@@ -341,7 +330,6 @@ class WorkerHandle:
     def __init__(
         self,
         name: str,
-        shard: int,
         cache_dir: Optional[str],
         enable_cache: bool,
         chaos_text: Optional[str],
@@ -349,7 +337,6 @@ class WorkerHandle:
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
         self.name = name
-        self.shard = shard
         self.cache_dir = cache_dir
         self.enable_cache = enable_cache
         self.chaos_text = chaos_text
@@ -481,7 +468,6 @@ class WorkerHandle:
         """The `/healthz` view of this worker."""
         return {
             "name": self.name,
-            "shard": self.shard,
             "alive": self.alive(),
             "busy": self.busy[0] if self.busy is not None else None,
             "restarts": self.restarts,

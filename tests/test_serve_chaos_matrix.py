@@ -3,12 +3,12 @@
 Each case boots a real multi-worker server (``ServerThread`` +
 ``ServeClient``) with a seeded service-chaos mix — worker crashes,
 self-SIGKILL on claim, heartbeat hangs, stalls before the result
-report, dead-on-arrival leases, torn shard-journal records — runs a
-small campaign, and asserts the three promises that make the failure
-injection worth having:
+report, dead-on-arrival leases — runs a small campaign, and asserts
+the three promises that make the failure injection worth having:
 
 * **no job lost, none duplicated** — every submitted key converges to
-  exactly one DONE record, on disk as well as over HTTP;
+  exactly one DONE record, over HTTP and in a cold rebuild from the
+  journal;
 * **byte-identical results** — whatever crashed, hung or got fenced
   along the way, the served bytes equal a direct serial run's;
 * **honest health** — ``/healthz`` reports per-worker liveness and
@@ -24,7 +24,7 @@ from __future__ import annotations
 import pytest
 
 from repro.flows import run_full_flow
-from repro.serve.job import DONE, QUEUED, JobSpec
+from repro.serve.job import DONE, JobSpec
 from repro.serve.queue import JobQueue
 from repro.serve.results import flow_result_payload, render_result
 from repro.serve.client import ServeClient
@@ -63,13 +63,14 @@ CASES = {
     # Liveness: heartbeats pause long enough to trip the hang
     # detector, and some leases arrive pre-expired.
     "hang": "worker_hang=0.4,hang_s=1.0,lease_expire=0.3,seed=5",
-    # Durability: shard-journal writes tear and workers stall between
-    # computing and reporting (inviting lease expiry + fencing).
-    "tear": "journal_tear=0.6,worker_stall=0.4,hang_s=1.0,seed=7",
+    # Durability: workers stall between computing and reporting
+    # (inviting lease expiry + fencing).  The id stays "tear" so the
+    # case keeps its test name.
+    "tear": "worker_stall=0.4,hang_s=1.0,seed=7",
     # Everything at once — the full matrix.
     "all": (
         "worker_crash=0.4,worker_hang=0.2,kill_claim=0.3,"
-        "lease_expire=0.3,journal_tear=0.5,seed=11,hang_s=1.0"
+        "lease_expire=0.3,seed=11,hang_s=1.0"
     ),
 }
 
@@ -106,7 +107,7 @@ def test_chaos_mix_converges_byte_identical(tmp_path, reference, mix):
         assert len(workers) >= 2
         assert any(w["alive"] for w in workers if not w.get("degraded"))
         for row in workers:
-            assert {"name", "shard", "alive", "busy", "restarts"} <= set(row)
+            assert {"name", "alive", "busy", "restarts"} <= set(row)
 
         metrics = client.metrics()
         counters = metrics["counters"]
@@ -117,19 +118,10 @@ def test_chaos_mix_converges_byte_identical(tmp_path, reference, mix):
             assert counters["worker_restarts"] >= 1
         if mix in ("hang", "all"):
             assert counters["lease_expiries"] >= 1
-        if mix in ("tear", "all"):
-            assert queue_view["journal_tears"] >= 1
 
-    # The journals survived the chaos: a cold rebuild from disk holds
-    # exactly one record per submitted key — no loss, no duplication.
-    # A job whose DONE transition was itself torn legitimately comes
-    # back QUEUED (the write never became durable); rerunning it yields
-    # the same bytes, and the result store already serves them.
-    rebuilt = JobQueue(
-        state / "queue" / "journal.json",
-        shard_root=state / "queue" / "shards",
-    )
+    # The journal survived the chaos: a cold rebuild from disk holds
+    # exactly one DONE record per submitted key — no loss, no
+    # duplication.
+    rebuilt = JobQueue(state / "queue" / "journal.json")
     assert sorted(j.key for j in rebuilt.jobs()) == sorted(keys)
-    assert all(j.state in (DONE, QUEUED) for j in rebuilt.jobs())
-    if mix == "crash":  # no tears injected: durable state is terminal
-        assert all(j.state == DONE for j in rebuilt.jobs())
+    assert all(j.state == DONE for j in rebuilt.jobs())

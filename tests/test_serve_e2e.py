@@ -149,8 +149,8 @@ def test_campaign_survives_sigterm_and_restart(tmp_path):
 
 def test_multiworker_campaign_survives_sigkill_and_restart(tmp_path):
     """The supervised fleet under the harshest exit: SIGKILL the whole
-    server mid-campaign (no drain, no atexit — leases and shard
-    journals are all that survive), restart on the same state dir, and
+    server mid-campaign (no drain, no atexit — the leases in the
+    journal are all that survive), restart on the same state dir, and
     every job still converges byte-identically."""
     state = tmp_path / "state"
     specs = CAMPAIGN[:4]
@@ -182,7 +182,7 @@ def test_multiworker_campaign_survives_sigkill_and_restart(tmp_path):
     )
     try:
         client = ServeClient(url)
-        # The shard merge reconstructed every accepted job exactly once.
+        # The journal restored every accepted job exactly once.
         listed = client.jobs()
         assert sorted(j["key"] for j in listed) == sorted(keys)
 

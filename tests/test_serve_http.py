@@ -162,7 +162,7 @@ def test_handlers_cover_cancel_conflict_and_404(tmp_path):
     bad = json.dumps({"circuit": "s27", "bogus_field": 1}).encode()
     with pytest.raises(ServeError):
         _call(server, server._post_jobs, method="POST", body=bad)
-    server.contexts.close()
+    server.scheduler.runtime.close()
 
 
 # -- live server -------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Lease-table and leased-claim semantics: fencing, expiry, stealing.
+"""Lease-table and leased-claim semantics: fencing and expiry.
 
 The invariants the multi-worker service stands on, pinned at the unit
 level:
@@ -9,15 +9,13 @@ level:
   with the current token works **exactly once** (the drain-time
   double-demotion fix);
 * a zero-ttl lease (chaos's ``lease_expire``) stays expired no matter
-  how eagerly it is renewed;
-* shard placement is stable, and an idle worker steals across shards
-  rather than starving.
+  how eagerly it is renewed.
 """
 
 from __future__ import annotations
 
 from repro.serve.job import DONE, QUEUED, RUNNING
-from repro.serve.lease import LeaseTable, shard_of
+from repro.serve.lease import LeaseTable
 from repro.serve.queue import JobQueue
 from tests.test_serve_queue import make_spec
 
@@ -28,19 +26,6 @@ class FakeClock:
 
     def __call__(self) -> float:
         return self.now
-
-
-# -- shard placement ---------------------------------------------------------
-
-
-def test_shard_of_is_stable_and_in_range():
-    keys = [make_spec(seed).key() for seed in range(8)]
-    for key in keys:
-        shard = shard_of(key, 4)
-        assert 0 <= shard < 4
-        assert shard_of(key, 4) == shard  # pure function of the key
-    assert all(shard_of(key, 1) == 0 for key in keys)
-    assert all(shard_of(key, 0) == 0 for key in keys)
 
 
 # -- lease table -------------------------------------------------------------
@@ -103,36 +88,6 @@ def test_none_ttl_never_expires():
 
 
 # -- leased claims on the queue ----------------------------------------------
-
-
-def test_claim_prefers_home_shard_then_steals(tmp_path):
-    queue = JobQueue(tmp_path / "journal.json")
-    total = 2
-    by_shard = {0: [], 1: []}
-    seed = 0
-    # Submit until both shards hold at least two jobs.
-    while min(len(v) for v in by_shard.values()) < 2:
-        spec = make_spec(seed)
-        by_shard[shard_of(spec.key(), total)].append(spec.key())
-        queue.submit(spec)
-        seed += 1
-
-    job, lease = queue.claim("w0", ttl_s=30.0, shard=0, total_shards=total)
-    assert shard_of(job.key, total) == 0 and not lease.stolen
-    assert job.owner == "w0" and job.lease_token == lease.token
-    assert job.state == RUNNING
-
-    # Drain shard 1 completely, then w1's next claim steals from 0.
-    while True:
-        claimed = queue.claim(
-            "w1", ttl_s=30.0, shard=1, total_shards=total, steal=False
-        )
-        if claimed is None:
-            break
-        queue.finish(claimed[0].key, ok=True, token=claimed[1].token)
-    stolen = queue.claim("w1", ttl_s=30.0, shard=1, total_shards=total)
-    assert stolen is not None and stolen[1].stolen
-    assert shard_of(stolen[0].key, total) == 0
 
 
 def test_finish_is_fenced_by_the_current_token(tmp_path):

@@ -5,7 +5,8 @@ The serve layer's queue makes three promises the properties pin down:
 * **Dispatch order** — under *any* interleaving of submissions and
   cancellations, draining the queue claims jobs in non-increasing
   priority, FIFO within one (priority, client) pair, and claims
-  exactly the jobs that were queued (cancelled ones never run).
+  exactly the jobs that were queued (cancelled ones never run); a
+  leased claim, whichever worker asks, takes the same job.
 * **Journal round-trip** — rebuilding a queue from its journal
   restores identical state (``running`` jobs demoted to ``queued``,
   everything else byte-for-byte the same record).
@@ -17,6 +18,8 @@ The serve layer's queue makes three promises the properties pin down:
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import tempfile
 from collections import defaultdict
 from pathlib import Path
@@ -24,6 +27,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import ServeError
 from repro.serve.job import CANCELLED, DONE, QUEUED, RUNNING, TASKS, Job, JobSpec
 from repro.serve.queue import JobQueue
 
@@ -350,7 +354,35 @@ def test_job_record_round_trips_through_dict(tmp_path, task):
     assert Job.from_dict(job.to_dict()).to_dict() == job.to_dict()
 
 
-# -- sharded multi-worker properties -----------------------------------------
+# -- leased multi-worker properties ------------------------------------------
+
+
+@given(
+    submits=st.lists(
+        st.tuples(_SEEDS, st.integers(min_value=0, max_value=9), _CLIENTS),
+        max_size=12,
+    ),
+    owners=st.lists(st.sampled_from(("w0", "w1", "w2")), max_size=12),
+)
+@settings(max_examples=40, deadline=None)
+def test_leased_claims_follow_claim_next_order(submits, owners):
+    """Whichever worker asks, a leased claim takes the job an unleased
+    ``claim_next`` on a twin queue takes: one dispatch order, whatever
+    the fleet."""
+    with tempfile.TemporaryDirectory() as tmp:
+        leased = JobQueue(Path(tmp) / "leased.json")
+        twin = JobQueue(Path(tmp) / "twin.json")
+        for seed, priority, client in submits:
+            leased.submit(make_spec(seed, priority, client))
+            twin.submit(make_spec(seed, priority, client))
+        for owner in owners + ["w0"] * len(submits):
+            claimed = leased.claim(owner, ttl_s=30.0)
+            expected = twin.claim_next()
+            assert (claimed is None) == (expected is None)
+            if claimed is None:
+                break
+            assert claimed[0].key == expected.key
+
 
 #: Per supervision round: does w0 finish its claim, does w1 finish its
 #: claim (False = that worker "crashes" holding the lease), and does
@@ -363,35 +395,25 @@ _ROUNDS = st.lists(
 @given(ops=_ops, rounds=_ROUNDS)
 @settings(max_examples=40, deadline=None)
 def test_sharded_claims_never_lose_or_duplicate_jobs(ops, rounds):
-    """Two leased workers over journal shards, workers and the whole
-    queue crashing at arbitrary points: after every rebuild the merged
-    journals hold exactly one record per submitted key, finished work
-    stays finished, and abandoned claims come back claimable."""
-    from repro.serve.lease import shard_of
-
+    """Two leased workers over the one journal, workers and the whole
+    queue crashing at arbitrary points: after every rebuild the journal
+    holds exactly one record per submitted key, finished work stays
+    finished, and abandoned claims come back claimable."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "journal.json"
-        shard_root = Path(tmp) / "shards"
-        queue = JobQueue(path, shard_root=shard_root)
+        queue = JobQueue(path)
         for op in ops:
             _apply(queue, op, "flow")
         submitted = {j.key for j in queue.jobs()}
         finished = set()
 
         for w0_finishes, w1_finishes, server_crashes in rounds:
-            for worker, shard, finishes in (
-                ("w0", 0, w0_finishes),
-                ("w1", 1, w1_finishes),
-            ):
-                claimed = queue.claim(
-                    worker, ttl_s=30.0, shard=shard, total_shards=2
-                )
+            for worker, finishes in (("w0", w0_finishes), ("w1", w1_finishes)):
+                claimed = queue.claim(worker, ttl_s=30.0)
                 if claimed is None:
                     continue
                 job, lease = claimed
-                # Home-shard discipline: a non-stolen claim stays home.
-                if not lease.stolen:
-                    assert shard_of(job.key, 2) == shard
+                assert job.owner == worker and job.lease_token == lease.token
                 if finishes:
                     assert (
                         queue.finish(job.key, ok=True, token=lease.token)
@@ -401,11 +423,10 @@ def test_sharded_claims_never_lose_or_duplicate_jobs(ops, rounds):
                 # else: the worker dies holding the lease — nothing is
                 # released; recovery happens at rebuild time.
             if server_crashes:
-                # Rebuild purely from the on-disk journals (main +
-                # shards): the shard merge must reconstruct the state.
-                queue = JobQueue(path, shard_root=shard_root)
+                # Rebuild purely from the on-disk journal.
+                queue = JobQueue(path)
 
-        restored = JobQueue(path, shard_root=shard_root)
+        restored = JobQueue(path)
         keys = [j.key for j in restored.jobs()]
         assert sorted(keys) == sorted(submitted), "job lost or invented"
         assert len(set(keys)) == len(keys), "job duplicated"
@@ -420,9 +441,6 @@ def test_sharded_claims_never_lose_or_duplicate_jobs(ops, rounds):
                 assert job.state == QUEUED
                 assert job.owner is None and job.lease_token is None
 
-        # After compaction the main journal alone carries every record.
-        assert restored.shards is not None
-        assert restored.shards.shard_names() == []
         drained = []
         while True:
             claimed = restored.claim("w0", ttl_s=30.0)
@@ -433,42 +451,113 @@ def test_sharded_claims_never_lose_or_duplicate_jobs(ops, rounds):
             restored.finish(job.key, ok=True, token=lease.token)
         assert sorted(drained) == sorted(
             j.key
-            for j in JobQueue(path, shard_root=shard_root).jobs()
+            for j in JobQueue(path).jobs()
             if j.key not in finished and j.state == DONE
         )
 
 
-@given(ops=_ops, claims=st.integers(min_value=0, max_value=4))
-@settings(max_examples=40, deadline=None)
-def test_shard_merge_round_trip_equals_unsharded_view(ops, claims):
-    """A queue journaling through owner shards and one journaling only
-    through the main journal agree record-for-record after restart —
-    sharding changes durability mechanics, never semantics."""
-    with tempfile.TemporaryDirectory() as tmp:
-        sharded = JobQueue(
-            Path(tmp) / "sharded.json", shard_root=Path(tmp) / "shards"
-        )
-        plain = JobQueue(Path(tmp) / "plain.json")
-        for op in ops:
-            _apply(sharded, op, "flow")
-            _apply(plain, op, "flow")
-        for i in range(claims):
-            a = sharded.claim("w0", ttl_s=30.0)
-            b = plain.claim("w0", ttl_s=30.0)
-            assert (a is None) == (b is None)
-            if a is None:
-                break
-            assert a[0].key == b[0].key
-            if i % 2 == 0:
-                sharded.finish(a[0].key, ok=True, token=a[1].token)
-                plain.finish(b[0].key, ok=True, token=b[1].token)
+def _parent_record(key, seed, priority, seq, state, owner=None, token=None):
+    """One job record as servers wrote it before the per-job execution
+    budget was retired: the spec carries ``jobs``/``task_timeout``/
+    ``retries``."""
+    spec = {
+        "circuit": "s27", "task": "flow", "seed": seed,
+        "tgen_mode": "random", "tgen_max_len": 64, "compaction_sims": 0,
+        "l_g": 32, "synthesize_hardware": False, "static_prune": False,
+        "sim_backend": "auto", "population": 8, "generations": 2,
+        "priority": priority, "client": "alice",
+        "jobs": 1, "task_timeout": None, "retries": 2,
+    }
+    return {
+        "kind": "job", "key": key, "spec": spec, "seq": seq,
+        "state": state, "error": None,
+        "attempts": 0 if state == "queued" else 1, "stats": {},
+        "owner": owner, "version": 0 if state == "queued" else 2,
+        "lease_token": token,
+    }
 
-        restored_sharded = JobQueue(
-            Path(tmp) / "sharded.json", shard_root=Path(tmp) / "shards"
-        )
-        restored_plain = JobQueue(Path(tmp) / "plain.json")
-        sharded_view = {
-            j.key: j.to_dict() for j in restored_sharded.jobs()
-        }
-        plain_view = {j.key: j.to_dict() for j in restored_plain.jobs()}
-        assert sharded_view == plain_view
+
+def test_parent_format_state_dir_restores_every_job(tmp_path):
+    """Every job of a parent-format journal restores, the job leased to
+    ``w1`` when the server died comes back queued, new tokens fence
+    above the journaled one, and the ``shards/`` directory next to the
+    journal is not read: its newer ``done`` record for that job is
+    ignored, so the job runs again."""
+    done = "c76763e4f8f172c48488df842d5b7fb9"
+    running = "09dbfb2891688094a3fb733dca9d8f0a"
+    queued = "1b9e84a21ebe3ba4939978cc2fdfb71f"
+    entries = {
+        done: _parent_record(done, 1, 0, 0, "done"),
+        running: _parent_record(running, 2, 3, 1, "running", "w1", 17),
+        queued: _parent_record(queued, 3, 0, 2, "queued"),
+    }
+    shard_only = {**entries[running], "state": "done", "version": 3}
+    queue_dir = tmp_path / "queue"
+    (queue_dir / "shards").mkdir(parents=True)
+    (queue_dir / "shards" / "shard-w1.json").write_text(
+        json.dumps({"format": 1, "entries": {running: shard_only}})
+    )
+    (queue_dir / "journal.json").write_text(
+        json.dumps({"format": 1, "entries": entries})
+    )
+
+    queue = JobQueue(queue_dir / "journal.json")
+    assert {j.key: j.state for j in queue.jobs()} == {
+        done: DONE,
+        running: QUEUED,
+        queued: QUEUED,
+    }
+    revived = queue.get(running)
+    assert revived.owner is None and revived.lease_token is None
+    assert revived.spec == make_spec(2, priority=3)
+    job, lease = queue.claim("w0", ttl_s=30.0)
+    assert job.key == running and lease.token > 17
+
+
+# -- spec validation ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"circuit": "s27", "synthesize_hardware": "no"},
+        {"circuit": "s27", "seed": "x"},
+        {"circuit": "s27", "seed": 1.5},
+        {"circuit": "s27", "priority": 5.5},
+        {"circuit": "s27", "tgen_max_len": True},
+    ],
+    ids=["bool-as-str", "seed-str", "seed-float", "priority-float",
+         "int-as-bool"],
+)
+def test_spec_refuses_a_mistyped_field(payload):
+    name = next(k for k in payload if k != "circuit")
+    with pytest.raises(ServeError, match=name):
+        JobSpec.from_dict(payload)
+
+
+_ANY_VALUE = st.one_of(
+    st.booleans(),
+    st.integers(min_value=-3, max_value=3000),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(("s27", "flow", "optimize", "random", "auto", "x", "")),
+    st.none(),
+)
+
+
+@given(
+    payload=st.dictionaries(
+        st.sampled_from(sorted(JobSpec.__dataclass_fields__)), _ANY_VALUE
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_spec_from_dict_is_well_typed_or_refused(payload):
+    """Any mix of field types: either every field of the spec has its
+    declared type, or the payload is refused with ``ServeError``."""
+    payload = {"circuit": "s27", **payload}
+    try:
+        spec = JobSpec.from_dict(payload)
+    except ServeError:
+        return
+    for spec_field in dataclasses.fields(spec):
+        value = getattr(spec, spec_field.name)
+        assert type(value).__name__ == spec_field.type, spec_field.name

@@ -6,6 +6,8 @@ pin the recovery contract:
 
 * a multi-worker campaign completes with results byte-identical to
   running the flows directly;
+* an idle worker is leased the job the queue's dispatch order puts
+  next, whichever worker it is;
 * a SIGKILLed worker is detected, its leased job requeued exactly
   once, and the slot respawned (``worker_restarts`` advances);
 * a hung worker (alive, heartbeats stale) gets the same treatment;
@@ -23,7 +25,7 @@ import time
 import pytest
 
 from repro.flows import run_full_flow
-from repro.serve.job import DONE, QUEUED
+from repro.serve.job import DONE, QUEUED, JobSpec
 from repro.serve.metrics import ServeMetrics
 from repro.serve.queue import JobQueue
 from repro.serve.results import ResultStore, flow_result_payload, render_result
@@ -36,11 +38,7 @@ pytestmark = pytest.mark.skipif(
 
 
 def make_parts(tmp_path, **queue_kwargs):
-    queue = JobQueue(
-        tmp_path / "journal.json",
-        shard_root=tmp_path / "shards",
-        **queue_kwargs,
-    )
+    queue = JobQueue(tmp_path / "journal.json", **queue_kwargs)
     return queue, ResultStore(tmp_path / "results"), ServeMetrics()
 
 
@@ -84,9 +82,34 @@ def test_campaign_completes_byte_identical_across_two_workers(tmp_path):
     snaps = supervisor.worker_snapshots()
     assert [s["name"] for s in snaps] == ["w0", "w1"]
     for snap in snaps:
-        assert {"name", "shard", "alive", "busy", "restarts"} <= set(snap)
+        assert {"name", "alive", "busy", "restarts"} <= set(snap)
     # Worker runtime stats flowed back to the supervisor's aggregate.
     assert supervisor.runtime_stats_snapshot().full_simulations > 0
+
+
+def test_dispatch_leases_in_the_queue_dispatch_order(tmp_path):
+    """A priority-9 job never waits behind a priority-0 one: the first
+    idle worker is leased the job ``claim_next`` would take, whatever
+    the job's key."""
+    queue, results, metrics = make_parts(tmp_path)
+    low, _ = queue.submit(JobSpec(circuit="s27", seed=3, priority=0))
+    high, _ = queue.submit(JobSpec(circuit="s27", seed=1, priority=9))
+    supervisor = Supervisor(queue, results, metrics, workers=2)
+    sent = []
+
+    def fake_assign(name):
+        def assign(key, token, attempt, spec):
+            sent.append((name, key))
+            return True
+
+        return assign
+
+    for handle in supervisor._handles:
+        handle.alive = lambda: True
+        handle.assign = fake_assign(handle.name)
+    assert supervisor._dispatch()
+    assert sent == [("w0", high.key), ("w1", low.key)]
+    assert queue.get(high.key).owner == "w0"
 
 
 def test_sigkilled_worker_is_respawned_and_job_recovered(tmp_path):

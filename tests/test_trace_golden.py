@@ -155,7 +155,7 @@ def serial_sweep_golden():
         dict(jobs=2),
         dict(jobs=3),
         dict(jobs=2, retries=3, backoff_s=0.0,
-             chaos="crash=0.3,corrupt=0.3,seed=3"),
+             chaos="crash=0.3,corrupt=0.3,seed=4"),
         dict(jobs=2, retries=1, backoff_s=0.0, task_timeout=0.5,
              chaos="hang=1.0,seed=9,hang_s=2.0"),
     ],
